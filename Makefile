@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-json debugtest staticcheck vulncheck bench pullmode experiments cover check clean
+.PHONY: all build vet test race flake lint lint-json debugtest staticcheck vulncheck bench pullmode experiments cover loc check clean
 
 all: build vet test
 
@@ -26,6 +26,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# flake hammers the packages whose tests run real goroutines against
+# each other (verbs, the three fabrics, core) so a test that passes
+# most runs is caught by the PR that introduces it.
+flake:
+	$(GO) test -race -count=20 ./internal/verbs ./internal/fabric/... ./internal/core
+
 # lint runs RFTP's own static-analysis passes (fsmtransition,
 # bufownership, lockorder, the flow-sensitive blockleak/msgexhaustive/
 # fsmlive trio, ... — see internal/analysis). Any finding fails the
@@ -35,7 +41,7 @@ lint:
 	$(GO) run ./cmd/rftplint -strict-allows ./...
 
 # lint-json leaves the machine-readable findings/suppressions report CI
-# uploads next to the BENCH_<rev>.json snapshot.
+# uploads.
 lint-json:
 	$(GO) run ./cmd/rftplint -strict-allows -json ./... > rftplint.json
 
@@ -62,17 +68,16 @@ vulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# bench runs the benchmark suite and, via benchfmt, leaves a
-# machine-readable BENCH_<rev>.json snapshot alongside the usual text
-# output for cross-revision regression diffing.
+# bench is a does-it-still-run smoke over the go-test benchmarks, one
+# iteration each. The tracked performance ledger is benchmark/run.sh
+# (see benchmark/README.md; `-compare A.jsonl B.jsonl` diffs two runs).
 bench:
-	$(GO) test -bench . -benchmem -benchtime 1x . ./internal/fabric/netfabric \
-		| $(GO) run ./cmd/benchfmt -rev $$(git rev-parse --short HEAD 2>/dev/null || echo dev)
+	$(GO) test -bench . -benchmem -benchtime 1x . ./internal/fabric/netfabric
 
 # pullmode runs the pull-mode shape regression (pull >= push at a
 # saturated source, hybrid within 5% of the best fixed mode) and
 # leaves the ablation matrix as ablation-pullmode.json for CI to
-# upload next to the BENCH_<rev>.json snapshot.
+# upload.
 pullmode:
 	$(GO) test -run TestAblationPullModeShape -v ./internal/bench
 	$(GO) run ./cmd/experiments -scale 0.125 -json ablation-pullmode.json ablation-pullmode
@@ -83,6 +88,16 @@ experiments:
 
 cover:
 	$(GO) test -cover ./internal/...
+
+# loc prints non-test, non-blank, non-comment Go lines per package and
+# in total (benchmark/ and testdata/ excluded) — the measure simplicity
+# PRs quote before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*' \
+		| xargs grep -Hvc -e '^[[:space:]]*//' -e '^[[:space:]]*$$' \
+		| awk -F: '{ d = $$1; sub("/[^/]*$$", "", d); c[d] += $$2; t += $$2 } \
+			END { for (d in c) printf "%6d  %s\n", c[d], d; printf "%6d  total\n", t }' \
+		| sort -k2
 
 clean:
 	$(GO) clean ./...

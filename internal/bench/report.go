@@ -94,8 +94,7 @@ func WriteCSV(w io.Writer, rows []Row) error {
 }
 
 // WriteJSON renders rows as a JSON array, one Row object per element,
-// for machine-readable CI artifacts (uploaded next to the benchfmt
-// BENCH_<rev>.json snapshot).
+// for machine-readable CI artifacts.
 func WriteJSON(w io.Writer, rows []Row) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -285,6 +285,9 @@ func (c Config) Normalize() (Config, error) {
 	if c.SessionQueue < 0 {
 		c.SessionQueue = 0
 	}
+	// c is a copy but its slice shares the caller's backing array:
+	// normalize a private one.
+	c.TenantWeights = append([]int(nil), c.TenantWeights...)
 	for i, w := range c.TenantWeights {
 		if w <= 0 {
 			c.TenantWeights[i] = 1

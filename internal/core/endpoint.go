@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"rftp/internal/ringq"
 	"rftp/internal/verbs"
 	"rftp/internal/wire"
 )
@@ -50,6 +51,8 @@ type Endpoint struct {
 	// fresh regions, and receives them back on teardown.
 	MRCache *verbs.MRCache
 
+	// ctrl is the control plane over Ctrl/CtrlCQ, live from construction.
+	ctrl        ctrlPlane
 	ctrlRecvMRs []*verbs.MR
 	notifyMR    *verbs.MR
 	notifyWRs   []verbs.RecvWR // one reusable repost WR per data QP
@@ -117,9 +120,16 @@ func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth,
 	ep := &Endpoint{Dev: dev, Loop: loops[0], PD: dev.AllocPD(), ctrlDepth: ctrlDepth,
 		dataDepth: ioDepth + dataQueueSlack, readDepth: ioDepth + dataQueueSlack}
 	ep.Shards = append(ep.Shards, loops[:nsh]...)
+	// Every CQ has its handler before the first QP exists: closing a
+	// half-built or never-claimed endpoint flushes posted receives, and
+	// those completions must find someone home.
+	ep.ctrl.ep = ep
 	ep.CtrlCQ = verbs.NewUpcallCQ(ep.Loop)
+	ep.CtrlCQ.SetHandler(ep.ctrl.onWC)
 	for i := 0; i < nsh; i++ {
-		ep.DataCQs = append(ep.DataCQs, verbs.NewUpcallCQ(loops[i]))
+		cq := verbs.NewUpcallCQ(loops[i])
+		cq.SetHandler(unclaimedDataWC)
+		ep.DataCQs = append(ep.DataCQs, cq)
 	}
 	ep.DataCQ = ep.DataCQs[0]
 
@@ -163,6 +173,132 @@ func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth,
 		}
 	}
 	return ep, nil
+}
+
+// unclaimedDataWC is a data CQ's handler until a Source or Sink installs
+// its shard's: nothing has been posted on the data QPs yet (notify
+// receives go up at negotiation), so only a teardown flush can get here.
+func unclaimedDataWC(wc verbs.WC) {
+	if wc.Status != verbs.StatusFlushed {
+		panic(fmt.Sprintf("core: data completion (%v, %v) on an endpoint no Source or Sink claimed", wc.Op, wc.Status))
+	}
+}
+
+// ctrlPlane is the control-message loop both sides of the protocol run
+// over the control QP: encode → queue → post → send completion, and
+// receive → decode → repost → hand to the owner. Source and Sink differ
+// only in what handle does with a decoded message.
+type ctrlPlane struct {
+	ep *Endpoint
+	// sendQ holds encoded messages the send queue had no room for;
+	// posted holds one completion callback (often nil) per message on
+	// the wire, in posting order — an RC queue pair completes in order.
+	sendQ  ringq.Ring[ctrlMsg]
+	posted ringq.Ring[func()]
+	wr     verbs.SendWR // reused post WR (PostSend copies)
+	// owner is set by claim, possibly from another goroutine than the
+	// control loop (rftpd builds its Sink on the accept goroutine after
+	// the QPs are bound). held keeps, in arrival order, completions that
+	// beat the owner to the endpoint; both it and the rings are
+	// control-loop state.
+	owner atomic.Pointer[ctrlOwner]
+	held  []verbs.WC
+}
+
+type ctrlMsg struct {
+	buf    []byte
+	onSent func()
+}
+
+// ctrlOwner is what a Source or Sink plugs into the control plane: its
+// message dispatch and its connection-fatal error path.
+type ctrlOwner struct {
+	handle func(*wire.Control)
+	fail   func(error)
+}
+
+// claim gives the endpoint's control plane its owner and replays, on
+// the control loop, whatever arrived first.
+func (cp *ctrlPlane) claim(handle func(*wire.Control), fail func(error)) {
+	cp.owner.Store(&ctrlOwner{handle: handle, fail: fail})
+	cp.ep.Loop.Post(0, cp.replay)
+}
+
+func (cp *ctrlPlane) replay() {
+	held := cp.held
+	cp.held = nil
+	for _, wc := range held {
+		cp.onWC(wc)
+	}
+}
+
+// send encodes and queues one control message. onSent, when non-nil,
+// runs on the message's send completion — after the peer has it — and
+// never for a message flushed by teardown. Sends are signaled so
+// completions drain the queue when the send queue was momentarily full.
+func (cp *ctrlPlane) send(c *wire.Control, onSent func()) {
+	buf, err := c.Encode(nil)
+	if err != nil {
+		cp.owner.Load().fail(fmt.Errorf("core: encoding %v: %w", c.Type, err))
+		return
+	}
+	cp.sendQ.Push(ctrlMsg{buf: buf, onSent: onSent})
+	cp.pump()
+}
+
+// pump posts queued messages while the send queue accepts them;
+// ErrSendQueueFull waits for a send completion.
+func (cp *ctrlPlane) pump() {
+	for {
+		m, ok := cp.sendQ.Peek()
+		if !ok {
+			return
+		}
+		cp.wr = verbs.SendWR{Op: verbs.OpSend, Data: m.buf}
+		err := cp.ep.Ctrl.PostSend(&cp.wr)
+		if err == verbs.ErrSendQueueFull {
+			return
+		}
+		if err != nil {
+			cp.owner.Load().fail(fmt.Errorf("core: posting control message: %w", err))
+			return
+		}
+		cp.sendQ.Pop()
+		cp.posted.Push(m.onSent)
+	}
+}
+
+// onWC handles every control-QP completion.
+func (cp *ctrlPlane) onWC(wc verbs.WC) {
+	if cp.ep.closed.Load() || wc.Status == verbs.StatusFlushed {
+		return // teardown: no callback, no repost
+	}
+	o := cp.owner.Load()
+	if o == nil || len(cp.held) > 0 {
+		cp.held = append(cp.held, wc)
+		return
+	}
+	if wc.Status != verbs.StatusSuccess {
+		o.fail(fmt.Errorf("core: control QP failure: %v", wc.Status))
+		return
+	}
+	if wc.Op != verbs.OpRecv {
+		if cb, _ := cp.posted.Pop(); cb != nil {
+			cb()
+		}
+		cp.pump() // a send slot freed
+		return
+	}
+	c, err := wire.DecodeControl(wc.Data)
+	if err != nil {
+		o.fail(fmt.Errorf("core: bad control message: %w", err))
+		return
+	}
+	if err := cp.ep.repostCtrlRecv(wc.WRID); err != nil {
+		o.fail(fmt.Errorf("core: reposting control recv: %w", err))
+		return
+	}
+	o.handle(c)
 }
 
 // shardIndex maps a data channel to the reactor shard that owns it.

@@ -123,42 +123,37 @@ type ModelSource struct {
 
 // Load implements BlockSource (serial cursor-based loads).
 func (s *ModelSource) Load(p []byte, capacity int, done func(int, bool, error)) {
-	remaining := s.Total - s.produced
-	n := int64(capacity)
-	if n > remaining {
-		n = remaining
-	}
-	s.produced += n
-	eof := s.produced >= s.Total
-	cost := hostmodel.ScaleNsPerByte(s.NsPerByte, int(n))
-	s.loaderThread().Post(cost, func() { done(int(n), eof, nil) })
+	off := s.produced
+	s.produced += min(int64(capacity), s.Total-off)
+	s.load(capacity, off, done)
 }
 
 // LoadAt implements BlockSourceAt: stateless offset-addressed loads,
 // safe with many outstanding.
 func (s *ModelSource) LoadAt(p []byte, capacity int, off uint64, done func(int, bool, error)) {
-	remaining := s.Total - int64(off)
-	if remaining <= 0 {
+	if int64(off) >= s.Total {
 		done(0, true, nil)
 		return
 	}
-	n := int64(capacity)
-	if n > remaining {
-		n = remaining
-	}
-	eof := int64(off)+n >= s.Total
-	cost := hostmodel.ScaleNsPerByte(s.NsPerByte, int(n))
-	s.loaderThread().Post(cost, func() { done(int(n), eof, nil) })
+	s.load(capacity, int64(off), done)
 }
 
-// loaderThread picks the next loader round-robin (Loaders when set,
-// else the single Loader).
-func (s *ModelSource) loaderThread() *hostmodel.Thread {
-	if len(s.Loaders) == 0 {
-		return s.Loader
+// load charges one read of up to capacity bytes at off to a loader.
+func (s *ModelSource) load(capacity int, off int64, done func(int, bool, error)) {
+	n := min(int64(capacity), s.Total-off)
+	eof := off+n >= s.Total
+	cost := hostmodel.ScaleNsPerByte(s.NsPerByte, int(n))
+	nextThread(s.Loader, s.Loaders, &s.nextTh).Post(cost, func() { done(int(n), eof, nil) })
+}
+
+// nextThread picks the next of many worker threads round-robin, or the
+// single one when many is empty.
+func nextThread(single *hostmodel.Thread, many []*hostmodel.Thread, next *int) *hostmodel.Thread {
+	if len(many) == 0 {
+		return single
 	}
-	t := s.Loaders[s.nextTh%len(s.Loaders)]
-	s.nextTh++
+	t := many[*next%len(many)]
+	*next++
 	return t
 }
 
@@ -183,22 +178,11 @@ type ModelSink struct {
 func (s *ModelSink) Store(hdr wire.BlockHeader, payload []byte, modelLen int, done func(error)) {
 	s.stored += int64(modelLen)
 	cost := hostmodel.ScaleNsPerByte(s.NsPerByte, modelLen) + s.PerBlock
-	s.storerThread().Post(cost, func() { done(nil) })
+	nextThread(s.Storer, s.Storers, &s.nextTh).Post(cost, func() { done(nil) })
 }
 
 // OffsetStores implements OffsetSink: modeled stores are placement-free.
 func (s *ModelSink) OffsetStores() bool { return true }
-
-// storerThread picks the next storer round-robin (Storers when set,
-// else the single Storer).
-func (s *ModelSink) storerThread() *hostmodel.Thread {
-	if len(s.Storers) == 0 {
-		return s.Storer
-	}
-	t := s.Storers[s.nextTh%len(s.Storers)]
-	s.nextTh++
-	return t
-}
 
 // Stored returns total bytes consumed.
 func (s *ModelSink) Stored() int64 { return s.stored }
@@ -217,4 +201,57 @@ func (s LoopSource) Load(p []byte, capacity int, done func(int, bool, error)) {
 	s.Inner.Load(p, capacity, func(n int, eof bool, err error) {
 		s.Loop.Post(0, func() { done(n, eof, err) })
 	})
+}
+
+// ioTasks recycles the carriers that bring storage completions — a
+// BlockSource load, a BlockSink store — from whatever goroutine the
+// backend finishes on back onto the control loop without allocating per
+// block: a carrier's callbacks are bound once when it is built, and it
+// rejoins the free list (control-loop only, so a plain slice suffices)
+// before its result is delivered.
+type ioTasks[S any] struct {
+	loop verbs.Loop
+	done func(sess S, b *block, n int, eof bool, err error)
+	free []*ioTask[S]
+}
+
+type ioTask[S any] struct {
+	owner  *ioTasks[S]
+	sess   S
+	b      *block
+	n      int
+	eof    bool
+	err    error
+	loaded func(int, bool, error) // the done a BlockSource gets
+	stored func(error)            // the done a BlockSink gets
+	run    func()
+}
+
+func (p *ioTasks[S]) get(sess S, b *block) *ioTask[S] {
+	var t *ioTask[S]
+	if n := len(p.free); n > 0 {
+		t = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		t = &ioTask[S]{owner: p}
+		t.loaded, t.run = t.complete, t.exec
+		t.stored = func(err error) { t.complete(0, false, err) }
+	}
+	t.sess, t.b = sess, b
+	return t
+}
+
+// complete may run on any goroutine, so it only records the result and
+// posts.
+func (t *ioTask[S]) complete(n int, eof bool, err error) {
+	t.n, t.eof, t.err = n, eof, err
+	t.owner.loop.Post(0, t.run)
+}
+
+func (t *ioTask[S]) exec() {
+	p, sess, b, n, eof, err := t.owner, t.sess, t.b, t.n, t.eof, t.err
+	var none S
+	t.sess, t.b, t.err = none, nil, nil
+	p.free = append(p.free, t)
+	p.done(sess, b, n, eof, err)
 }

@@ -215,6 +215,13 @@ func (p *pool) put(b *block) {
 	p.free = append(p.free, b)
 }
 
+// recycle retires a block through the FSM and returns it to the free
+// list.
+func (p *pool) recycle(b *block) {
+	b.setState(BlockFree)
+	p.put(b)
+}
+
 // byIdx returns the block with the given index.
 func (p *pool) byIdx(i int) *block {
 	if i < 0 || i >= len(p.blocks) {

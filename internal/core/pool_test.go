@@ -205,6 +205,22 @@ func TestConfigInitialCreditsCapped(t *testing.T) {
 	}
 }
 
+// Regression: Normalize has a value receiver but used to write the
+// weight fix-ups through the slice it shares with the caller, so
+// NewSink silently edited the -tenant-weight slice the caller holds.
+func TestNormalizeLeavesCallerWeightsAlone(t *testing.T) {
+	weights := []int{0, 2}
+	cfg := DefaultConfig()
+	cfg.TenantWeights = weights
+	p := newSimPipe(t, lanLink(), cfg)
+	if weights[0] != 0 || weights[1] != 2 {
+		t.Fatalf("caller's weights rewritten to %v", weights)
+	}
+	if got := p.sink.cfg.TenantWeights; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("sink weights = %v, want [1 2]", got)
+	}
+}
+
 func TestPayloadCapacity(t *testing.T) {
 	c := Config{BlockSize: 1024}
 	if c.PayloadCapacity() != 1024-wire.BlockHeaderSize {

@@ -8,11 +8,11 @@ package core
 // reactor shards, bounded by MaxRDAtomic per data QP. A READ_DONE
 // notification recycles the advertised block at the source.
 //
-// The advertise pipeline is bounded by the sink's adaptive credit
-// window machinery run in reverse: the advert→READ_DONE round trip is
-// the credit round trip, READ_DONE arrivals are the delivery-rate
-// signal, and the window is headroom × BDP plus the load pipeline
-// depth.
+// The advertise pipeline is bounded by the same rateWindow estimator
+// that sizes the push credit window, fed from this side: the
+// advert→READ_DONE round trip is the offer round trip, READ_DONE
+// arrivals are the delivery-rate signal, and the depth term is the load
+// pipeline.
 //
 // The hybrid controller switches each session between the two paths at
 // run time — pull when the source host is busy (the per-block
@@ -23,7 +23,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"rftp/internal/trace"
 	"rftp/internal/verbs"
@@ -72,89 +71,27 @@ func (s *Source) initialMode() TransferMode {
 	return ModePush
 }
 
-// advertWindow bounds outstanding advertisements across all sessions:
-// the sink-side adaptive credit window reused in reverse. Before
-// warmup the window is the whole pool (pre-adaptive behavior).
+// advertWindow bounds outstanding advertisements across all sessions.
 func (s *Source) advertWindow() int {
-	win := s.cfg.IODepth
-	if s.advSamples < winWarmup || s.advGap <= 0 || s.advRTT <= 0 {
-		return win
-	}
-	bdp := int(float64(s.advRTT) / float64(s.advGap))
-	w := winHeadroom*bdp + s.cfg.LoadDepth
-	floor := s.cfg.IODepth / 8
-	if floor < 4 {
-		floor = 4
-	}
-	if w < floor {
-		w = floor
-	}
-	if w > win {
-		w = win
-	}
-	return w
-}
-
-// noteAdvertSample feeds one READ_DONE into the advertise-window
-// estimator: rtt is the advert→READ_DONE latency, now the arrival
-// timestamp. Mirrors Sink.noteWindowSample (min-filtered RTT, epoch
-// mean gap folded into an EWMA).
-func (s *Source) noteAdvertSample(now, rtt time.Duration) {
-	s.advSamples++
-	if rtt > 0 && (s.advRTT == 0 || rtt < s.advRTT || s.advRTTAge >= winRTTWindow) {
-		s.advRTT, s.advRTTAge = rtt, 0
-	} else {
-		s.advRTTAge++
-	}
-	if s.advEpochBlocks == 0 {
-		s.advEpochStart, s.advEpochBlocks = now, 1
-		return
-	}
-	s.advEpochBlocks++
-	if s.advEpochBlocks <= winGapEpoch {
-		return
-	}
-	if elapsed := now - s.advEpochStart; elapsed > 0 {
-		mean := elapsed / time.Duration(s.advEpochBlocks-1)
-		if s.advGap == 0 {
-			s.advGap = mean
-		} else {
-			s.advGap += (mean - s.advGap) / 2
-		}
-	}
-	s.advEpochStart, s.advEpochBlocks = now, 1
+	return s.advWin.blocks(s.cfg.IODepth, s.cfg.LoadDepth)
 }
 
 // postAdverts drains pull-mode sessions' loaded queues into block
-// advertisements, round-robin one block per turn (mirroring
-// postWrites' interleaving), bounded by the adaptive advertise window.
-func (s *Source) postAdverts() {
-	for progress := true; progress && s.failed == nil; {
-		progress = false
-		n := len(s.rrSessions)
-		for i := 0; i < n && s.failed == nil; i++ {
-			m := len(s.rrSessions)
-			if m == 0 {
-				return
-			}
-			sess := s.rrSessions[(s.nextAdvSess+i)%m]
-			if sess.mode != ModePull || sess.switching || sess.aborting || len(sess.loadedQ) == 0 {
-				continue
-			}
-			if s.advertCount >= s.advertWindow() {
-				s.nextAdvSess = (s.nextAdvSess + i) % m
-				return // window full; READ_DONEs will re-pump
-			}
-			b := sess.loadedQ[0]
-			sess.loadedQ = sess.loadedQ[1:]
-			sess.queued--
-			s.advertise(sess, b)
-			progress = true
-		}
-		if n > 0 {
-			s.nextAdvSess = (s.nextAdvSess + 1) % n
-		}
+// advertisements, bounded by the adaptive advertise window.
+func (s *Source) postAdverts() { s.advertSweep.run(&s.rrSessions) }
+
+func (s *Source) tryAdvert(sess *srcSession) step {
+	if sess.mode != ModePull || sess.switching || sess.aborting || len(sess.loadedQ) == 0 {
+		return stepSkip
 	}
+	if s.advertCount >= s.advertWindow() {
+		return stepBlocked // window full; READ_DONEs will re-pump
+	}
+	b := sess.loadedQ[0]
+	sess.loadedQ = sess.loadedQ[1:]
+	sess.queued--
+	s.advertise(sess, b)
+	return stepTook
 }
 
 // advertise exposes one loaded block to remote READs: the header is
@@ -172,10 +109,8 @@ func (s *Source) advertise(sess *srcSession, b *block) {
 	sess.advertised[b.seq] = b
 	s.advertCount++
 	s.stats.Adverts++
-	if t := s.tel; t != nil {
-		t.advertsPosted.Inc()
-		t.advertsOutstanding.Set(int64(s.advertCount))
-	}
+	s.tel.advertsPosted.Inc()
+	s.tel.advertsOutstanding.Set(int64(s.advertCount))
 	var flags uint8
 	if b.last {
 		flags |= wire.FlagLastBlock
@@ -212,52 +147,27 @@ func (s *Source) handleReadDone(c *wire.Control) {
 	s.stats.ReadsDone++
 	now := s.ep.Loop.Now()
 	if c.Flags&wire.FlagAccept != 0 {
-		s.stats.Bytes += int64(b.payloadLen)
-		s.stats.Blocks++
-		s.stats.End = now
-		sess.sent += int64(b.payloadLen)
-		sess.blocks++
-		s.noteAdvertSample(now, now-b.tPost)
-		if s.OnProgress != nil {
-			s.OnProgress(sess.id, sess.sent)
-		}
+		s.advWin.sample(now, now-b.tPost)
+		s.delivered(sess, b, now)
 	}
-	if t := s.tel; t != nil {
-		t.advertsOutstanding.Set(int64(s.advertCount))
-		t.postLatency.Observe(int64(now - b.tPost))
-	}
-	b.setState(BlockFree)
-	s.pool.put(b)
-	if sess.aborting {
-		s.maybeFinishAbort(sess)
-	} else {
-		s.noteModeProgress(sess)
-		if sess.switching {
-			s.maybeSendSwitchReq(sess)
-		}
-	}
-	s.pump()
+	s.tel.advertsOutstanding.Set(int64(s.advertCount))
+	s.tel.postLatency.Observe(int64(now - b.tPost))
+	s.retire(sess, b)
 }
 
 // noteModeProgress feeds one completed block into the per-mode goodput
-// estimator (epoch mean folded into an EWMA, the same shape as the
-// window estimators) and lets the hybrid controller reconsider the
-// session's mode at each epoch boundary.
+// estimator (epoch mean folded into an EWMA) and lets the hybrid
+// controller reconsider the session's mode at each epoch boundary.
 func (s *Source) noteModeProgress(sess *srcSession) {
 	if s.cfg.TransferMode != ModeHybrid || sess.aborting || sess.completeTx {
 		return
 	}
-	now := s.ep.Loop.Now()
-	if sess.rateEpochBlocks == 0 {
-		sess.rateEpochStart, sess.rateEpochBlocks = now, 1
+	n, elapsed, closed := sess.rateEpoch.tick(s.ep.Loop.Now(), modeRateEpoch)
+	if !closed {
 		return
 	}
-	sess.rateEpochBlocks++
-	if sess.rateEpochBlocks <= modeRateEpoch {
-		return
-	}
-	if elapsed := now - sess.rateEpochStart; elapsed > 0 {
-		rate := float64(sess.rateEpochBlocks-1) / elapsed.Seconds()
+	if elapsed > 0 {
+		rate := float64(n) / elapsed.Seconds()
 		i := 0
 		if sess.mode == ModePull {
 			i = 1
@@ -268,7 +178,6 @@ func (s *Source) noteModeProgress(sess *srcSession) {
 			sess.modeRate[i] += (rate - sess.modeRate[i]) / 2
 		}
 	}
-	sess.rateEpochStart, sess.rateEpochBlocks = now, 1
 	s.maybeSwitchMode(sess)
 }
 
@@ -368,9 +277,7 @@ func (s *Source) handleModeSwitchAck(c *wire.Control) {
 	}
 	sess.mode = sess.pendingMode
 	s.stats.ModeSwitches++
-	if t := s.tel; t != nil {
-		t.modeSwitches.Inc()
-	}
+	s.tel.modeSwitches.Inc()
 	s.Trace.Emit(trace.Event{Cat: trace.CatSession, Name: "mode_switch_done",
 		Session: sess.id, V1: int64(sess.mode), V2: sess.blocks})
 	s.pump()
@@ -413,59 +320,33 @@ func (k *Sink) handleAdvert(c *wire.Control) {
 }
 
 // pumpFetches pairs queued advertisements with free blocks and READ
-// slots, round-robin over sessions, and hands each fetch to the
-// owning reactor shard. The per-channel bound is the QP's initiator
-// depth (MaxRDAtomic), striping READs across channels and shards the
-// way postWrites stripes WRITEs.
+// slots and hands each fetch to the owning reactor shard. The
+// per-channel bound is the QP's initiator depth (MaxRDAtomic), striping
+// READs across channels and shards the way postWrites stripes WRITEs.
 func (k *Sink) pumpFetches() {
 	if k.pool == nil || k.failed != nil || k.closed {
 		return
 	}
-	for progress := true; progress; {
-		progress = false
-		n := len(k.schedOrder)
-		for i := 0; i < n; i++ {
-			m := len(k.schedOrder)
-			if m == 0 {
-				return
-			}
-			sess := k.schedOrder[(k.fetchRR+i)%m]
-			if sess.finished || len(sess.fetchQ) == 0 {
-				continue
-			}
-			ch := k.pickReadChannel()
-			if ch < 0 {
-				k.fetchRR = (k.fetchRR + i) % m
-				return // every channel at initiator depth
-			}
-			b := k.pool.get()
-			if b == nil {
-				k.fetchRR = (k.fetchRR + i) % m
-				return // pool dry; a store completion will re-pump
-			}
-			adv := sess.fetchQ[0]
-			sess.fetchQ = sess.fetchQ[1:]
-			k.issueFetch(sess, b, adv, ch)
-			progress = true
-		}
-		if n > 0 {
-			k.fetchRR = (k.fetchRR + 1) % n
-		}
-	}
+	k.fetchSweep.run(&k.schedOrder)
 }
 
-// pickReadChannel returns the next data channel with READ headroom
-// (round-robin), or -1 when every channel is at initiator depth.
-func (k *Sink) pickReadChannel() int {
-	for i := 0; i < len(k.ep.Data); i++ {
-		ch := (k.nextReadCh + i) % len(k.ep.Data)
-		if k.chReads[ch] >= k.ep.readDepth {
-			continue
-		}
-		k.nextReadCh = (ch + 1) % len(k.ep.Data)
-		return ch
+func (k *Sink) tryFetch(sess *sinkSession) step {
+	if sess.finished || len(sess.fetchQ) == 0 {
+		return stepSkip
 	}
-	return -1
+	// Channel before block, so a full wire never strands memory.
+	ch := pickChannel(&k.nextReadCh, k.chReads, k.ep.readDepth)
+	if ch < 0 {
+		return stepBlocked // every channel at initiator depth
+	}
+	b := k.pool.get()
+	if b == nil {
+		return stepBlocked // pool dry; a store completion will re-pump
+	}
+	adv := sess.fetchQ[0]
+	sess.fetchQ = sess.fetchQ[1:]
+	k.issueFetch(sess, b, adv, ch)
+	return stepTook
 }
 
 // issueFetch commits one advertisement to a block and channel (free →
@@ -477,18 +358,16 @@ func (k *Sink) issueFetch(sess *sinkSession, b *block, adv fetchAdvert, ch int) 
 	b.offset = adv.offset
 	b.payloadLen = int(adv.payloadLen)
 	b.last = adv.last
-	// The advertised remote region rides in the credit field: the pull
-	// path's mirror use of "the remote memory this block pairs with".
+	// The advertised remote region rides in the credit field: either
+	// way it is "the remote memory this block pairs with".
 	b.credit = wire.Credit{Addr: adv.addr, RKey: adv.rkey, Len: adv.payloadLen}
 	b.chIdx = ch
 	b.tAcq = k.ep.Loop.Now()
 	b.spans.SetKey(b.spanRef, b.session, b.seq)
 	k.chReads[ch]++
 	k.readsInflight++
-	if t := k.tel; t != nil {
-		t.readsPosted.Inc()
-		t.readsInflight.Set(int64(k.readsInflight))
-	}
+	k.tel.readsPosted.Inc()
+	k.tel.readsInflight.Set(int64(k.readsInflight))
 	k.shards[k.ep.shardIndex(ch)].fetchIn.send(b)
 }
 
@@ -498,9 +377,7 @@ func (k *Sink) issueFetch(sess *sinkSession, b *block, adv fetchAdvert, ch int) 
 func (k *Sink) readReverted(b *block, err error) {
 	k.chReads[b.chIdx]--
 	k.readsInflight--
-	if t := k.tel; t != nil {
-		t.readsInflight.Set(int64(k.readsInflight))
-	}
+	k.tel.readsInflight.Set(int64(k.readsInflight))
 	adv := fetchAdvert{seq: b.seq, addr: b.credit.Addr, rkey: b.credit.RKey,
 		payloadLen: uint32(b.payloadLen), offset: b.offset, last: b.last}
 	sessID := b.session
@@ -514,55 +391,29 @@ func (k *Sink) readReverted(b *block, err error) {
 	}
 }
 
-// readArrived is the control-plane half of a READ completion: notify
-// the source, account the arrival, and feed the reassembly/delivery
-// machinery exactly as a pushed block would.
+// readArrived is the control-plane half of a READ completion: settle
+// the READ ledger and notify the source, then the shared accept feeds
+// reassembly and delivery exactly as a pushed block would.
 func (k *Sink) readArrived(b *block) {
 	k.chReads[b.chIdx]--
 	k.readsInflight--
 	k.stats.ReadsDone++
-	if t := k.tel; t != nil {
-		t.readsInflight.Set(int64(k.readsInflight))
-	}
+	k.tel.readsInflight.Set(int64(k.readsInflight))
 	sess := k.sessions[b.session]
 	if sess == nil || sess.finished {
 		// The session died while the READ was in flight: recycle the
 		// block and answer unaccepted so the source's drain completes.
 		k.sendCtrl(&wire.Control{Type: wire.MsgReadDone, Session: b.session, Seq: b.seq, RKey: b.credit.RKey})
-		b.setState(BlockFree)
-		k.pool.put(b)
+		k.pool.recycle(b)
 		k.pumpFetches()
 		return
 	}
 	k.sendCtrl(&wire.Control{Type: wire.MsgReadDone, Flags: wire.FlagAccept,
 		Session: b.session, Seq: b.seq, RKey: b.credit.RKey})
-	sess.arrived++
-	if dup := k.noteArrival(sess, b.seq); dup {
-		k.fail(fmt.Errorf("%w: duplicate block %d/%d", ErrProtocol, b.session, b.seq))
+	if _, ok := k.accept(sess, b); !ok {
 		return
 	}
-	if sess.offsetSink != nil {
-		sess.storeQ = append(sess.storeQ, b)
-	} else {
-		sess.ready[b.seq] = b
-	}
-	now := k.ep.Loop.Now()
-	k.noteWindowSample(now, now-b.tAcq)
-	if t := k.tel; t != nil {
-		t.creditLatency.Observe(int64(now - b.tAcq))
-		t.reassembly.Observe(int64(len(sess.ready) + len(sess.storeQ)))
-		t.blocksArrived.Inc()
-		t.bytesArrived.Add(int64(b.payloadLen))
-	}
-	if b.last {
-		sess.haveLast = true
-		sess.lastSeq = b.seq
-	}
-	if sess.offsetSink != nil {
-		k.pumpStores(sess)
-	} else {
-		k.deliver(sess)
-	}
+	k.feedWriter(sess)
 	k.pumpFetches()
 	k.noteStall()
 }
@@ -607,13 +458,7 @@ func (k *Sink) handleModeSwitch(c *wire.Control) {
 		Session: sess.info.ID, V1: sess.arrived})
 	k.sendCtrl(&wire.Control{Type: wire.MsgModeSwitchAck, Flags: wire.FlagAccept,
 		Session: sess.info.ID, AssocData: uint64(sess.arrived)})
-	if k.cfg.CreditPolicy == CreditProactive {
-		want := k.cfg.InitialCredits
-		if c := k.sessionCap(sess); want > c {
-			want = c
-		}
-		k.grantCredits(sess, want, grantInitial)
-	}
+	k.seedCredits(sess)
 }
 
 // completeSwitchToPull reclaims the session's granted blocks and flips
@@ -629,12 +474,7 @@ func (k *Sink) completeSwitchToPull(sess *sinkSession) {
 		k.pushSessions--
 	}
 	k.stats.ModeSwitches++
-	if n > 0 && k.pushSessions > 0 && k.failed == nil && !k.closed &&
-		k.cfg.CreditPolicy == CreditProactive && !k.cfg.NoGrantOnFree {
-		// The reclaimed blocks re-enter circulation for the remaining
-		// push tenants.
-		k.queueGrants(n, grantOnFree)
-	}
+	k.regrant(n) // the reclaimed blocks go to the remaining push tenants
 	k.Trace.Emit(trace.Event{Cat: trace.CatSession, Name: "mode_switch_pull",
 		Session: sess.info.ID, V1: sess.arrived, V2: int64(n)})
 	k.sendCtrl(&wire.Control{Type: wire.MsgModeSwitchAck, Flags: wire.FlagAccept | wire.FlagModePull,

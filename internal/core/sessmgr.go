@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"time"
 
-	"rftp/internal/invariant"
 	"rftp/internal/trace"
 	"rftp/internal/wire"
 )
@@ -79,17 +78,13 @@ func (k *Sink) handleSessionReq(c *wire.Control) {
 			k.openQ = append(k.openQ, pendingOpen{tok: c.Seq, total: int64(c.AssocData), pull: pull})
 			k.Trace.Emit(trace.Event{Cat: trace.CatSession, Name: "session_queued",
 				V1: int64(len(k.openQ))})
-			if t := k.tel; t != nil {
-				t.sessionsQueued.Set(int64(len(k.openQ)))
-			}
+			k.tel.sessionsQueued.Set(int64(len(k.openQ)))
 			return
 		}
 		k.stats.SessionsRejected++
 		k.Trace.Emit(trace.Event{Cat: trace.CatSession, Name: "session_busy",
 			V1: k.stats.SessionsRejected})
-		if t := k.tel; t != nil {
-			t.sessionsRejected.Inc()
-		}
+		k.tel.sessionsRejected.Inc()
 		k.sendCtrl(&wire.Control{Type: wire.MsgSessionResp, Flags: wire.FlagBusy, Seq: c.Seq})
 		return
 	}
@@ -119,15 +114,13 @@ func (k *Sink) admitSession(tok uint32, total int64, pull bool) {
 	}
 	k.Trace.Emit(trace.Event{Cat: trace.CatSession, Name: "session_accept",
 		Session: sess.info.ID, V1: sess.info.Total})
-	if k.tel != nil {
+	if k.tel.reg != nil {
 		sess.telBytes, sess.telBlocks = k.tel.sessionCounters(sess.info.ID)
 		sess.telSchedWait = k.tel.sessionSchedWait(sess.info.ID)
 	}
 	k.sessions[sess.info.ID] = sess
 	k.schedOrder = append(k.schedOrder, sess)
-	if t := k.tel; t != nil {
-		t.sessionsActive.Set(int64(len(k.schedOrder)))
-	}
+	k.tel.sessionsActive.Set(int64(len(k.schedOrder)))
 	if k.stats.Start == 0 {
 		k.stats.Start = k.ep.Loop.Now()
 	}
@@ -143,12 +136,14 @@ func (k *Sink) admitSession(tok uint32, total int64, pull bool) {
 	// with other tenants, the wait is real scheduler latency.
 	sess.needy = true
 	sess.needySince = k.ep.Loop.Now()
+	k.seedCredits(sess)
+}
+
+// seedCredits pushes a session entering the push path its initial
+// credits, within its window share.
+func (k *Sink) seedCredits(sess *sinkSession) {
 	if k.cfg.CreditPolicy == CreditProactive {
-		want := k.cfg.InitialCredits
-		if c := k.sessionCap(sess); want > c {
-			want = c
-		}
-		k.grantCredits(sess, want, grantInitial)
+		k.grantCredits(sess, min(k.cfg.InitialCredits, k.sessionCap(sess)), grantInitial)
 	}
 }
 
@@ -160,9 +155,7 @@ func (k *Sink) admitQueued() {
 		k.openQ = k.openQ[1:]
 		k.admitSession(req.tok, req.total, req.pull)
 	}
-	if t := k.tel; t != nil {
-		t.sessionsQueued.Set(int64(len(k.openQ)))
-	}
+	k.tel.sessionsQueued.Set(int64(len(k.openQ)))
 }
 
 // weightFor maps a session id onto Config.TenantWeights (round-robin
@@ -281,36 +274,28 @@ func (k *Sink) dropOwned(sess *sinkSession, b *block) {
 		return
 	}
 	delete(sess.owned, b)
-	invariant.MRWriteEnd(k.inv, b.mr.RKey)
-	invariant.GaugeAdd(k.inv, "granted", 0, -1)
-	invariant.GaugeAdd(k.inv, "sess.granted", int(sess.info.ID), -1)
-	k.granted--
+	k.settleCredit(b)
 	if sess.granted > 0 {
 		sess.granted--
 	}
-	if t := k.tel; t != nil {
-		t.granted.Set(int64(k.granted))
-	}
+	k.tel.granted.Set(int64(k.granted))
 }
 
 func (k *Sink) reclaimOwned(id uint32, owned map[*block]struct{}) int {
 	n := 0
 	for b := range owned {
-		invariant.MRWriteEnd(k.inv, b.mr.RKey)
-		invariant.GaugeAdd(k.inv, "granted", 0, -1)
-		invariant.GaugeAdd(k.inv, "sess.granted", int(id), -1)
-		k.granted--
+		k.settleCredit(b)
 		k.stats.CreditsReclaimed++
-		b.setState(BlockFree)
-		k.pool.put(b)
+		k.pool.recycle(b)
 		n++
 	}
 	if n > 0 {
 		k.Trace.Emit(trace.Event{Cat: trace.CatCredit, Name: "credits_reclaimed",
 			Session: id, V1: int64(n), V2: int64(k.granted)})
-		if t := k.tel; t != nil {
-			t.granted.Set(int64(k.granted))
-		}
+		k.tel.granted.Set(int64(k.granted))
+		// Queued fetches that found the pool granted away go first: each
+		// is a block the source already holds loaded and exposed.
+		k.pumpFetches()
 	}
 	return n
 }
@@ -327,8 +312,7 @@ func (k *Sink) zombieArrival(b *block) {
 	delete(z.owned, b)
 	z.arrived++
 	k.stats.CreditsReclaimed++
-	b.setState(BlockFree)
-	k.pool.put(b)
+	k.pool.recycle(b)
 	k.maybeReapZombie(b.session, z)
 }
 
@@ -341,11 +325,7 @@ func (k *Sink) maybeReapZombie(id uint32, z *zombieSession) {
 		return
 	}
 	delete(k.zombies, id)
-	n := k.reclaimOwned(id, z.owned)
-	if n > 0 && len(k.sessions) > 0 &&
-		k.cfg.CreditPolicy == CreditProactive && !k.cfg.NoGrantOnFree {
-		k.queueGrants(n, grantOnFree)
-	}
+	k.regrant(k.reclaimOwned(id, z.owned))
 }
 
 // handleAbort processes MsgAbort: connection-fatal when Session is 0,

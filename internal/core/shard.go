@@ -159,7 +159,7 @@ func (sh *srcShard) post(b *block) {
 	b.spans.SetChannel(b.spanRef, b.chIdx)
 	s.Trace.Emit(trace.Event{Cat: trace.CatBlock, Name: "posted",
 		Session: b.session, Block: b.seq, Channel: int32(b.chIdx), V1: int64(b.payloadLen)})
-	if t := s.tel; t != nil {
+	if t := &s.tel; t.reg != nil {
 		b.tPost = sh.loop.Now()
 		t.creditWait.Observe(int64(b.tPost - b.tReady))
 		t.blocksPosted.Inc()
@@ -266,42 +266,22 @@ func (sh *sinkShard) onDataWC(wc verbs.WC) {
 }
 
 // handleImmNotify processes a WRITE WITH IMMEDIATE arrival: the
-// immediate value is the rkey of the consumed region. The credit grant
+// immediate value is the rkey of the consumed region, the completion's
+// byte count the only other thing the notice says. The credit grant
 // happened-before the source's WRITE, which happened-before this
 // completion, so the granted block's fields (and the pool pointer
 // itself) are visible here, and a valid arrival transfers the block's
 // ownership from the wire to this shard.
 func (sh *sinkShard) handleImmNotify(wc verbs.WC) {
 	k := sh.k
-	pool := k.pool
-	if pool == nil {
-		sh.out.send(sinkEvent{kind: sinkEvFail, err: fmt.Errorf("%w: immediate notification before negotiation", ErrProtocol)})
-		return
+	b, err := k.grantedRegion(wc.Imm)
+	if err == nil {
+		err = k.arrive(b, b.session, -1, wc.ByteLen-wire.BlockHeaderSize)
 	}
-	b := pool.byRKey(wc.Imm)
-	if b == nil || b.state != BlockWaiting {
-		sh.out.send(sinkEvent{kind: sinkEvFail, err: fmt.Errorf("%w: immediate for unknown or non-waiting region rkey=%d", ErrProtocol, wc.Imm)})
-		return
-	}
-	hdr, err := wire.DecodeBlockHeader(b.mr.ViewLocal(0, wire.BlockHeaderSize))
 	if err != nil {
-		sh.out.send(sinkEvent{kind: sinkEvFail, err: fmt.Errorf("%w: undecodable block header: %v", ErrProtocol, err)})
+		sh.out.send(sinkEvent{kind: sinkEvFail, err: err})
 		return
 	}
-	if int(hdr.PayloadLen)+wire.BlockHeaderSize != wc.ByteLen {
-		sh.out.send(sinkEvent{kind: sinkEvFail, err: fmt.Errorf("%w: header length %d does not match WRITE length %d",
-			ErrProtocol, hdr.PayloadLen, wc.ByteLen)})
-		return
-	}
-	if hdr.Session != b.session {
-		// The owner stamp was written at grant time, before the credit
-		// left the sink, so it is visible here; a mismatch means one
-		// tenant's block landed in another's region.
-		sh.out.send(sinkEvent{kind: sinkEvFail, err: fmt.Errorf("%w: session %d's block landed in session %d's region rkey=%d",
-			ErrProtocol, hdr.Session, b.session, wc.Imm)})
-		return
-	}
-	k.arrive(b, hdr)
 	sh.out.send(sinkEvent{kind: sinkEvArrived, b: b})
 }
 
@@ -327,16 +307,16 @@ func (sh *sinkShard) postRead(b *block) {
 	b.spans.SetChannel(b.spanRef, b.chIdx)
 	k.Trace.Emit(trace.Event{Cat: trace.CatBlock, Name: "read_posted",
 		Session: b.session, Block: b.seq, Channel: int32(b.chIdx), V1: int64(b.payloadLen)})
-	if k.tel != nil {
+	if k.tel.reg != nil {
 		b.tPost = sh.loop.Now()
 	}
 }
 
-// readWC validates a completed READ against the advertisement the
-// block was stamped from: the fetched header must name the same
-// session, sequence, and length the source advertised. The block was
-// shard-owned since postRead (one WC per READ), so the DataReady
-// transition happens here and the handoff publishes it back.
+// readWC takes a completed READ: the fetched header must name the same
+// session, sequence, and length as the advertisement the block was
+// stamped from. The block was shard-owned since postRead (one WC per
+// READ), so the DataReady transition happens here and the handoff
+// publishes it back.
 func (sh *sinkShard) readWC(wc verbs.WC) {
 	k := sh.k
 	pool := k.pool
@@ -347,19 +327,9 @@ func (sh *sinkShard) readWC(wc verbs.WC) {
 	if b == nil || b.state != BlockFetching {
 		return // stale completion after failure handling
 	}
-	hdr, err := wire.DecodeBlockHeader(b.mr.ViewLocal(0, wire.BlockHeaderSize))
-	if err != nil {
-		sh.out.send(sinkEvent{kind: sinkEvFail, err: fmt.Errorf("%w: undecodable fetched header: %v", ErrProtocol, err)})
+	if err := k.arrive(b, b.session, int64(b.seq), b.payloadLen); err != nil {
+		sh.out.send(sinkEvent{kind: sinkEvFail, err: err})
 		return
 	}
-	if hdr.Session != b.session || hdr.Seq != b.seq || int(hdr.PayloadLen) != b.payloadLen {
-		// The advertised region's content changed between advert and
-		// READ: the source must keep an advertised block frozen until
-		// READ_DONE, so this is always a source-side protocol bug.
-		sh.out.send(sinkEvent{kind: sinkEvFail, err: fmt.Errorf("%w: fetched header %d/%d/%d does not match advert %d/%d/%d",
-			ErrProtocol, hdr.Session, hdr.Seq, hdr.PayloadLen, b.session, b.seq, b.payloadLen)})
-		return
-	}
-	k.arrive(b, hdr)
 	sh.out.send(sinkEvent{kind: sinkEvFetched, b: b})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -43,9 +44,9 @@ type Sink struct {
 	OnError func(error)
 	// Trace, when set, records protocol events into a ring buffer.
 	Trace *trace.Ring
-	// tel holds resolved metric handles; nil when telemetry is detached
-	// (see AttachTelemetry).
-	tel *sinkTelemetry
+	// tel holds resolved metric handles; all nil (and tel.reg nil) while
+	// telemetry is detached (see AttachTelemetry).
+	tel sinkTelemetry
 	// spans/stalls hold the lifecycle span recorder and the stall
 	// attributor (see AttachSpans). The recorder is built lazily at
 	// pool creation from spanReg/spanSample.
@@ -54,13 +55,10 @@ type Sink struct {
 	spanReg    *telemetry.Registry
 	spanSample int
 
-	ctrlQ      []ctrlItem // encoded messages awaiting queue space
-	ctrlSent   []func()   // per posted send: completion callback (may be nil)
-	pool       *pool      // allocated when block size is negotiated
+	pool       *pool // allocated when block size is negotiated
 	shards     []*sinkShard
-	ctrlWR     verbs.SendWR // reused control-post WR (PostSend copies)
-	storeTasks []*storeTask // free list of store completion carriers
-	flushFn    func()       // prebound flush-timer callback
+	stores     ioTasks[*sinkSession] // store completion carriers
+	flushFn    func()                // prebound flush-timer callback
 	blockSize  int
 	immMode    bool     // WRITE WITH IMMEDIATE notifications negotiated
 	granted    int      // credits outstanding at the source, all sessions
@@ -86,18 +84,9 @@ type Sink struct {
 	pendingByReason [grantReasons]int
 	flushArmed      bool // a flush timer is outstanding
 
-	// Adaptive credit window estimator (BBR-style): windowed-minimum
-	// credit round trip × delivery rate approximates the path BDP in
-	// blocks. winGap is an EWMA of the mean inter-arrival gap (1/rate),
-	// averaged over epochs of winGapEpoch arrivals so completion bursts
-	// do not skew it; winRTT is the min grant→consume latency over the
-	// last winRTTWindow samples.
-	winRTT      time.Duration
-	winRTTAge   int
-	winGap      time.Duration
-	winSamples  int
-	epochStart  time.Duration
-	epochBlocks int
+	// win estimates the credit window from the grant→arrival round trip
+	// and the block arrival rate.
+	win rateWindow
 	// winBoost ratchets the window up on each explicit MR_INFO_REQUEST:
 	// a starving source is ground truth that the BDP estimate ran below
 	// the pipeline's real depth (the credit round trip only measures
@@ -109,24 +98,19 @@ type Sink struct {
 	// whose notification is still in flight, so the source's true
 	// runway is smaller than granted suggests; a stall at level g
 	// proves the effective pipeline depth is at least g, and batching
-	// only above that level is safe. Not sticky: each full-batch flush
-	// that completes without an intervening stall decays it back
-	// toward the static pipeline depth, so a stall that merely
-	// coincided with a large pending batch (pool-limited WAN paths
-	// starve regardless of batching) does not disable coalescing for
-	// the sink's lifetime, while a path where batching itself starves
-	// the source keeps re-recording it faster than it decays.
+	// only above that level is safe. Not sticky: accept decays it every
+	// arrival epoch (the reasons are there).
 	stallDepth int
 
 	// Pull-mode fetch pipeline (pullmode.go): outstanding READs per data
 	// channel (bounded by the QP initiator depth, ep.readDepth), their
-	// total, the channel and session round-robin cursors, and how many
+	// total, the channel cursor and the session sweep, and how many
 	// sessions are currently on the push path (gates push-only credit
 	// machinery such as the on-free re-grant).
 	chReads       []int
 	readsInflight int
 	nextReadCh    int
-	fetchRR       int
+	fetchSweep    sweep[*sinkSession]
 	pushSessions  int
 
 	sessions map[uint32]*sinkSession
@@ -137,7 +121,7 @@ type Sink struct {
 	failed error
 	// dead is the only Sink field shards read without an ownership
 	// handoff: set exclusively by Close so late completions stop
-	// touching torn-down state (mirrors Source.dead).
+	// touching torn-down state.
 	dead atomic.Bool
 
 	// inv is the debug-build invariant ledger (no-op handle otherwise).
@@ -213,10 +197,14 @@ func NewSink(ep *Endpoint, cfg Config) (*Sink, error) {
 		inv:       invariant.NewConn("sink"),
 	}
 	k.flushFn = k.flushTimerFired
-	ep.CtrlCQ.SetHandler(k.onCtrlWC)
+	k.fetchSweep.step = k.tryFetch
+	k.stores = ioTasks[*sinkSession]{loop: ep.Loop, done: func(sess *sinkSession, b *block, _ int, _ bool, err error) {
+		k.storeDone(sess, b, err)
+	}}
 	for i := range ep.DataCQs {
 		k.shards = append(k.shards, newSinkShard(k, i, cfg.SinkBlocks+dataQueueSlack))
 	}
+	ep.ctrl.claim(k.handleCtrl, k.fail)
 	return k, nil
 }
 
@@ -279,109 +267,29 @@ func (k *Sink) Close() {
 			if b.state == BlockFetching {
 				// An in-flight READ's completion was flushed with the QPs;
 				// the block never carried a credit, so no gauges to settle.
-				b.setState(BlockFree)
-				k.pool.put(b)
+				k.pool.recycle(b)
 				continue
 			}
 			if b.state != BlockWaiting {
 				continue
 			}
-			invariant.MRWriteEnd(k.inv, b.mr.RKey)
-			invariant.GaugeAdd(k.inv, "granted", 0, -1)
-			// Multi-session reclaim invariant: every block returns
-			// through its *owning* session's ledger (the per-session
-			// gauge panics on a cross-session stray), so one tenant's
-			// teardown can never strand or absorb another's credits.
-			invariant.GaugeAdd(k.inv, "sess.granted", int(b.session), -1)
-			k.granted--
+			k.settleCredit(b)
 			k.stats.CreditsReclaimed++
-			b.setState(BlockFree)
-			k.pool.put(b)
+			k.pool.recycle(b)
 		}
 		k.pool.release(k.inv)
 	}
 }
 
-// ctrlItem is a control message queued for transmission, with an
-// optional callback fired when its send completion arrives (i.e. the
-// peer has it).
-type ctrlItem struct {
-	buf    []byte
-	onSent func()
-}
-
 func (k *Sink) sendCtrl(c *wire.Control) { k.sendCtrlThen(c, nil) }
 
-// sendCtrlThen queues a control message; onSent (if non-nil) fires on
-// the message's send completion — after the peer acknowledged it. Used
-// for ordering guarantees at teardown.
+// sendCtrlThen counts and queues one control message; onSent (if
+// non-nil) fires on the message's send completion — after the peer
+// acknowledged it. Used for ordering guarantees at teardown.
 func (k *Sink) sendCtrlThen(c *wire.Control, onSent func()) {
-	buf, err := c.Encode(nil)
-	if err != nil {
-		k.fail(fmt.Errorf("core: encoding %v: %w", c.Type, err))
-		return
-	}
 	k.stats.CtrlMsgs++
-	if k.tel != nil {
-		k.tel.ctrlMsgs.Inc()
-	}
-	k.ctrlQ = append(k.ctrlQ, ctrlItem{buf: buf, onSent: onSent})
-	k.pumpCtrl()
-}
-
-// pumpCtrl posts queued control messages while the send queue accepts
-// them; ErrSendQueueFull waits for a send completion.
-func (k *Sink) pumpCtrl() {
-	for len(k.ctrlQ) > 0 {
-		item := k.ctrlQ[0]
-		k.ctrlWR = verbs.SendWR{Op: verbs.OpSend, Data: item.buf}
-		err := k.ep.Ctrl.PostSend(&k.ctrlWR)
-		if err == verbs.ErrSendQueueFull {
-			return
-		}
-		if err != nil {
-			k.fail(fmt.Errorf("core: posting control message: %w", err))
-			return
-		}
-		k.ctrlQ = k.ctrlQ[1:]
-		k.ctrlSent = append(k.ctrlSent, item.onSent)
-	}
-}
-
-func (k *Sink) onCtrlWC(wc verbs.WC) {
-	if k.closed {
-		return
-	}
-	if wc.Status != verbs.StatusSuccess {
-		if wc.Status == verbs.StatusFlushed {
-			return
-		}
-		k.fail(fmt.Errorf("core: control QP failure: %v", wc.Status))
-		return
-	}
-	if wc.Op != verbs.OpRecv {
-		// Control send completion: run its callback (completions arrive
-		// in posting order on an RC queue pair) and drain the queue.
-		if len(k.ctrlSent) > 0 {
-			cb := k.ctrlSent[0]
-			k.ctrlSent = k.ctrlSent[1:]
-			if cb != nil {
-				cb()
-			}
-		}
-		k.pumpCtrl()
-		return
-	}
-	c, err := wire.DecodeControl(wc.Data)
-	if err != nil {
-		k.fail(fmt.Errorf("core: bad control message: %w", err))
-		return
-	}
-	if err := k.ep.repostCtrlRecv(wc.WRID); err != nil && !k.closed {
-		k.fail(fmt.Errorf("core: reposting control recv: %w", err))
-		return
-	}
-	k.handleCtrl(c)
+	k.tel.ctrlMsgs.Inc()
+	k.ep.ctrl.send(c, onSent)
 }
 
 func (k *Sink) handleCtrl(c *wire.Control) {
@@ -467,18 +375,6 @@ func (k *Sink) handleBlockSize(c *wire.Control) {
 // explicit MR_INFO_REQUEST (nil outside tests).
 var debugStallHook func(*Sink)
 
-// Adaptive-window constants: warmup arrivals before the estimate is
-// trusted, the sliding window (in samples) of the RTT minimum filter,
-// and the BDP headroom multiplier (2× absorbs rate and RTT noise
-// without letting the window collapse below the pipe's needs).
-const (
-	winWarmup    = 16
-	winRTTWindow = 64
-	winHeadroom  = 2
-	// winGapEpoch is how many arrivals each delivery-rate sample spans.
-	winGapEpoch = 8
-)
-
 // grantCredits advertises up to n free blocks to one session in one
 // message (free → waiting in the sink FSM), bypassing the scheduler's
 // sweep — the immediate legs (initial window, explicit on-demand
@@ -486,11 +382,7 @@ const (
 // the grant for telemetry and tracing. Returns the credits sent.
 func (k *Sink) grantCredits(sess *sinkSession, n int, reason grantReason) int {
 	got := k.sendGrantTo(sess, n, "grant_"+reason.String())
-	if got > 0 {
-		if t := k.tel; t != nil {
-			t.grants[reason].Add(int64(got))
-		}
-	}
+	k.tel.grants[reason].Add(int64(got))
 	return got
 }
 
@@ -504,12 +396,19 @@ func (k *Sink) sendGrantTo(sess *sinkSession, n int, traceName string) int {
 		return 0
 	}
 	now := k.ep.Loop.Now()
+	// While any session is on the pull path the last free block is not
+	// for granting. A credit holds its block until the source finds a
+	// block of its own to load and write; an advertisement holds a
+	// source block until a fetch finds a free block here. With the whole
+	// pool granted and the whole source pool advertised neither side can
+	// move — one block that only fetches may take keeps both draining.
+	reserve := 0
+	if k.pushSessions < len(k.schedOrder) {
+		reserve = 1
+	}
 	var credits []wire.Credit
-	for len(credits) < n && len(credits) < wire.MaxCreditsPerMsg {
+	for len(credits) < n && len(credits) < wire.MaxCreditsPerMsg && len(k.pool.free) > reserve {
 		b := k.pool.get()
-		if b == nil {
-			break
-		}
 		b.setState(BlockWaiting)
 		b.tAcq = now
 		b.session = sess.info.ID
@@ -527,10 +426,10 @@ func (k *Sink) sendGrantTo(sess *sinkSession, n int, traceName string) int {
 	invariant.GaugeAdd(k.inv, "granted", 0, int64(len(credits)))
 	k.stats.CreditsGranted += int64(len(credits))
 	k.stats.GrantMsgs++
-	if t := k.tel; t != nil {
-		t.granted.Set(int64(k.granted))
-		t.creditBatchSize.Observe(int64(len(credits)))
-		t.creditWindow.Set(int64(k.targetWindow()))
+	if k.tel.reg != nil {
+		k.tel.granted.Set(int64(k.granted))
+		k.tel.creditBatchSize.Observe(int64(len(credits)))
+		k.tel.creditWindow.Set(int64(k.targetWindow()))
 	}
 	k.Trace.Emit(trace.Event{Cat: trace.CatCredit, Name: traceName,
 		Session: sess.info.ID, V1: int64(len(credits)), V2: int64(k.granted)})
@@ -563,14 +462,24 @@ func (k *Sink) queueGrants(n int, reason grantReason) {
 	}
 	k.pendingGrant += n
 	k.pendingByReason[reason] += n
-	if t := k.tel; t != nil {
-		t.pendingGrants.Set(int64(k.pendingGrant))
-	}
+	k.tel.pendingGrants.Set(int64(k.pendingGrant))
 	if k.pendingGrant >= k.batchSize(win) || k.granted < k.lowWater(win) {
 		k.flushGrants()
 		return
 	}
 	k.armFlushTimer()
+}
+
+// regrant is the on-free leg of the proactive policy: once the window
+// has ramped, consume-time grants find nothing free, so n blocks that
+// just came free re-advertise to the push tenants at once. Without it
+// the source burns its stash and degenerates into explicit request
+// round-trips. The blocks join the coalescer's batch rather than each
+// paying for a full control message.
+func (k *Sink) regrant(n int) {
+	if k.pushSessions > 0 && k.cfg.CreditPolicy == CreditProactive && !k.cfg.NoGrantOnFree {
+		k.queueGrants(n, grantOnFree)
+	}
 }
 
 // pipeDepth estimates the source's effective pipeline depth as the
@@ -584,7 +493,7 @@ func (k *Sink) queueGrants(n int, reason grantReason) {
 func (k *Sink) pipeDepth() int {
 	d := k.cfg.IODepth + k.cfg.InitialCredits
 	if !k.immMode {
-		d += k.bdpBlocks()
+		d += k.win.bdp()
 	}
 	return d
 }
@@ -633,16 +542,6 @@ func (k *Sink) lowWater(win int) int {
 	return lw
 }
 
-// bdpBlocks estimates blocks in flight from the window estimator:
-// credit round trip ÷ mean inter-arrival gap (rate × RTT). Zero before
-// any samples.
-func (k *Sink) bdpBlocks() int {
-	if k.winGap <= 0 || k.winRTT <= 0 {
-		return 0
-	}
-	return int(float64(k.winRTT) / float64(k.winGap))
-}
-
 // flushGrants drains the pending batch through the per-tenant
 // scheduler: DRR sweeps distribute the batch across active sessions
 // (one MR_INFO_RESPONSE per session granted). If the pool runs dry or
@@ -659,9 +558,7 @@ func (k *Sink) flushGrants() {
 		}
 		k.attributeGrants(got, got)
 	}
-	if t := k.tel; t != nil {
-		t.pendingGrants.Set(int64(k.pendingGrant))
-	}
+	k.tel.pendingGrants.Set(int64(k.pendingGrant))
 }
 
 // attributeGrants retires `taken` queued credits in policy-leg order
@@ -684,9 +581,7 @@ func (k *Sink) attributeGrants(granted, taken int) {
 			g = granted
 		}
 		granted -= g
-		if t := k.tel; t != nil && g > 0 {
-			t.grants[r].Add(int64(g))
-		}
+		k.tel.grants[r].Add(int64(g))
 	}
 }
 
@@ -694,9 +589,7 @@ func (k *Sink) attributeGrants(granted, taken int) {
 func (k *Sink) dropPending() {
 	k.pendingGrant = 0
 	k.pendingByReason = [grantReasons]int{}
-	if t := k.tel; t != nil {
-		t.pendingGrants.Set(0)
-	}
+	k.tel.pendingGrants.Set(0)
 }
 
 // armFlushTimer bounds how long a non-empty batch may wait. The timer
@@ -737,7 +630,7 @@ func (k *Sink) flushInterval() time.Duration {
 	if k.cfg.CreditFlushInterval > 0 {
 		return k.cfg.CreditFlushInterval
 	}
-	d := time.Duration(k.batchSize(k.targetWindow())) * k.winGap
+	d := time.Duration(k.batchSize(k.targetWindow())) * k.win.gap
 	if d < 200*time.Microsecond {
 		d = 200 * time.Microsecond
 	}
@@ -748,77 +641,16 @@ func (k *Sink) flushInterval() time.Duration {
 }
 
 // targetWindow is the sink's goal for credits outstanding at the
-// source. With Config.CreditWindow set it is fixed; otherwise it is
-// winHeadroom × (credit round trip ÷ mean inter-arrival gap) — delivery
-// rate × RTT, a BDP estimate in blocks — plus the source's pipeline
-// depth (granted credits include blocks mid-write, so a window below
+// source. With Config.CreditWindow set it is fixed; otherwise the
+// estimator sizes it, with the source's pipeline depth as the depth
+// term: granted credits include blocks mid-write, so a window below
 // IODepth + InitialCredits would starve a source that is merely keeping
-// its own pipe full), clamped to [max(4, SinkBlocks/8), SinkBlocks].
-// Before warmup the window is the whole pool, the pre-adaptive
-// behavior.
+// its own pipe full.
 func (k *Sink) targetWindow() int {
 	if k.cfg.CreditWindow > 0 {
 		return k.cfg.CreditWindow
 	}
-	win := k.cfg.SinkBlocks
-	if k.winSamples < winWarmup || k.winGap <= 0 || k.winRTT <= 0 {
-		return win
-	}
-	w := winHeadroom*k.bdpBlocks() + k.cfg.IODepth + k.cfg.InitialCredits + k.winBoost
-	floor := k.cfg.SinkBlocks / 8
-	if floor < 4 {
-		floor = 4
-	}
-	if w < floor {
-		w = floor
-	}
-	if w > win {
-		w = win
-	}
-	return w
-}
-
-// noteWindowSample feeds one arrival into the window estimator: rtt is
-// the credit's grant→consume latency, now the arrival timestamp. The
-// RTT minimum filter slides by resetting every winRTTWindow samples.
-// The gap estimate averages over epochs of winGapEpoch arrivals before
-// folding into an EWMA (gain 1/2): fabric completions arrive in bursts
-// whose intra-burst gaps say nothing about delivery rate, so the epoch
-// mean — total elapsed over a run of arrivals — is the robust 1/rate.
-func (k *Sink) noteWindowSample(now time.Duration, rtt time.Duration) {
-	k.winSamples++
-	if rtt > 0 && (k.winRTT == 0 || rtt < k.winRTT || k.winRTTAge >= winRTTWindow) {
-		k.winRTT, k.winRTTAge = rtt, 0
-	} else {
-		k.winRTTAge++
-	}
-	if k.epochBlocks == 0 {
-		k.epochStart, k.epochBlocks = now, 1
-		return
-	}
-	k.epochBlocks++
-	if k.epochBlocks <= winGapEpoch {
-		return
-	}
-	if elapsed := now - k.epochStart; elapsed > 0 {
-		mean := elapsed / time.Duration(k.epochBlocks-1)
-		if k.winGap == 0 {
-			k.winGap = mean
-		} else {
-			k.winGap += (mean - k.winGap) / 2
-		}
-	}
-	k.epochStart, k.epochBlocks = now, 1
-	// An epoch of steady arrivals without a fresh stall recording is
-	// weak evidence the recorded stall depth is stale: decay it toward
-	// the estimated pipeline depth. A genuinely batching-starved path
-	// re-records faster than this drains (recordings raise it in one
-	// step; decay removes an eighth of the excess per epoch), while a
-	// stall that merely coincided with a large pending batch stops
-	// suppressing coalescing after a few epochs.
-	if base := k.pipeDepth(); k.stallDepth > base {
-		k.stallDepth -= (k.stallDepth - base + 7) / 8
-	}
+	return k.win.blocks(k.cfg.SinkBlocks, k.cfg.IODepth+k.cfg.InitialCredits+k.winBoost)
 }
 
 // handleMRRequest must answer as soon as at least one region frees
@@ -844,10 +676,7 @@ func (k *Sink) handleMRRequest(c *wire.Control) {
 		// directly only up to the share; it never captures the
 		// coalescer's pending batch, which flushes through the sweep so
 		// the other tenants keep their claim on it.
-		batch := k.cfg.OnDemandBatch
-		if m := k.sessionCap(sess) - sess.granted; batch > m {
-			batch = m
-		}
+		batch := min(k.cfg.OnDemandBatch, k.sessionCap(sess)-sess.granted)
 		if batch < 1 {
 			// At its full share with a request on file. The request
 			// MUST stay parked: the source sends exactly one and then
@@ -922,59 +751,94 @@ func (k *Sink) popPendingReq() *sinkSession {
 // data-ready), and under the proactive policy up to GrantPerConsume
 // fresh credits go back immediately.
 func (k *Sink) handleBlockComplete(c *wire.Control) {
-	if k.pool == nil {
-		k.fail(fmt.Errorf("%w: block complete before negotiation", ErrProtocol))
-		return
+	b, err := k.grantedRegion(c.RKey)
+	if err == nil {
+		err = k.arrive(b, c.Session, int64(c.Seq), int(c.Length))
 	}
-	b := k.pool.byRKey(c.RKey)
-	if b == nil || b.state != BlockWaiting {
-		k.fail(fmt.Errorf("%w: completion for unknown or non-waiting region rkey=%d", ErrProtocol, c.RKey))
-		return
-	}
-	hdrBytes := b.mr.ViewLocal(0, wire.BlockHeaderSize)
-	hdr, err := wire.DecodeBlockHeader(hdrBytes)
 	if err != nil {
-		k.fail(fmt.Errorf("%w: undecodable block header: %v", ErrProtocol, err))
+		k.fail(err)
 		return
 	}
-	if hdr.Session != c.Session || hdr.Seq != c.Seq || hdr.PayloadLen != c.Length {
-		k.fail(fmt.Errorf("%w: header/notification mismatch (hdr %d/%d/%d vs msg %d/%d/%d)",
-			ErrProtocol, hdr.Session, hdr.Seq, hdr.PayloadLen, c.Session, c.Seq, c.Length))
-		return
-	}
-	if hdr.Session != b.session {
-		// Cross-session landing: a block for one tenant arrived in a
-		// region granted to another. The owner stamp was set at grant
-		// time, so this is always a source-side protocol bug.
-		k.fail(fmt.Errorf("%w: session %d's block landed in session %d's region rkey=%d",
-			ErrProtocol, hdr.Session, b.session, c.RKey))
-		return
-	}
-	k.arrive(b, hdr)
 	k.markArrived(b)
 }
 
-// arrive performs the data-plane half of an arrival on whichever loop
-// owns the block (a reactor shard in immediate mode, the control loop
-// under explicit notification): the named region holds a complete
-// block, waiting → data-ready, with the header's identity stamped in.
-func (k *Sink) arrive(b *block, hdr wire.BlockHeader) {
+// settleCredit takes one credit off the connection ledger: the block
+// it offered arrived or is being reclaimed. Every block returns through
+// the ledger of the session stamped on it at grant time (the
+// per-session gauge panics on a cross-session stray), so one tenant's
+// teardown can never strand or absorb another's credits.
+func (k *Sink) settleCredit(b *block) {
+	invariant.MRWriteEnd(k.inv, b.mr.RKey)
+	invariant.GaugeAdd(k.inv, "granted", 0, -1)
+	invariant.GaugeAdd(k.inv, "sess.granted", int(b.session), -1)
+	k.granted--
+}
+
+// grantedRegion resolves the rkey a push notice names (BLOCK_COMPLETE
+// or a WRITE WITH IMMEDIATE completion) to the granted block it must
+// refer to.
+func (k *Sink) grantedRegion(rkey uint32) (*block, error) {
+	if k.pool == nil {
+		return nil, fmt.Errorf("%w: block notice before negotiation", ErrProtocol)
+	}
+	b := k.pool.byRKey(rkey)
+	if b == nil || b.state != BlockWaiting {
+		return nil, fmt.Errorf("%w: notice for unknown or non-waiting region rkey=%d", ErrProtocol, rkey)
+	}
+	return b, nil
+}
+
+// checkArrival decodes the header of the block that landed in b and
+// checks it against the region's owner stamp and against what the
+// notice — a BLOCK_COMPLETE message, a WRITE WITH IMMEDIATE completion,
+// or the advertisement a READ was issued from — said would be there.
+// seq < 0 means the notice names no sequence (an immediate carries only
+// the rkey and a byte count).
+func checkArrival(b *block, session uint32, seq int64, payloadLen int) (wire.BlockHeader, error) {
+	hdr, err := wire.DecodeBlockHeader(b.mr.ViewLocal(0, wire.BlockHeaderSize))
+	if err != nil {
+		return hdr, fmt.Errorf("%w: undecodable block header: %v", ErrProtocol, err)
+	}
+	if hdr.Session != b.session {
+		// The owner stamp was set when the region was offered (grant or
+		// fetch time, before the offer left the sink), so one tenant's
+		// block in another's region is always a source-side protocol bug.
+		return hdr, fmt.Errorf("%w: session %d's block landed in session %d's region rkey=%d",
+			ErrProtocol, hdr.Session, b.session, b.mr.RKey)
+	}
+	if hdr.Session != session || (seq >= 0 && hdr.Seq != uint32(seq)) || int(hdr.PayloadLen) != payloadLen {
+		// Under pull this means the advertised region changed between
+		// advert and READ: the source must keep it frozen until READ_DONE.
+		return hdr, fmt.Errorf("%w: block header %d/%d/%d does not match its notice %d/%d/%d",
+			ErrProtocol, hdr.Session, hdr.Seq, hdr.PayloadLen, session, seq, payloadLen)
+	}
+	return hdr, nil
+}
+
+// arrive validates a landed block and performs the data-plane half of
+// its arrival on whichever loop owns it (a reactor shard for immediates
+// and READs, the control loop under explicit notification): the region
+// holds a complete block, waiting/fetching → data-ready, with the
+// header's identity stamped in.
+func (k *Sink) arrive(b *block, session uint32, seq int64, payloadLen int) error {
+	hdr, err := checkArrival(b, session, seq, payloadLen)
+	if err != nil {
+		return err
+	}
 	b.setState(BlockDataReady)
 	b.session, b.seq, b.payloadLen, b.last = hdr.Session, hdr.Seq, int(hdr.PayloadLen), hdr.Last
 	b.offset = hdr.Offset
 	b.spans.SetKey(b.spanRef, b.session, b.seq)
 	k.Trace.Emit(trace.Event{Cat: trace.CatBlock, Name: "arrived",
 		Session: hdr.Session, Block: hdr.Seq, V1: int64(hdr.PayloadLen)})
+	return nil
 }
 
-// markArrived is the control-plane half of an arrival: crediting,
-// reassembly, window estimation, and delivery. The block is
+// markArrived is the control-plane half of a pushed arrival: the credit
+// ledger, then the shared accept, then replacement grants. The block is
 // control-owned again.
 func (k *Sink) markArrived(b *block) {
-	k.granted--
-	invariant.GaugeAdd(k.inv, "granted", 0, -1)
-	invariant.GaugeAdd(k.inv, "sess.granted", int(b.session), -1)
-	invariant.MRWriteEnd(k.inv, b.mr.RKey)
+	k.settleCredit(b)
 	sess := k.sessions[b.session]
 	if sess == nil || sess.finished {
 		// A WRITE that raced a teardown: tolerated for sessions with a
@@ -983,30 +847,12 @@ func (k *Sink) markArrived(b *block) {
 		return
 	}
 	sess.granted--
-	sess.arrived++
 	delete(sess.owned, b)
-	if dup := k.noteArrival(sess, b.seq); dup {
-		k.fail(fmt.Errorf("%w: duplicate block %d/%d", ErrProtocol, b.session, b.seq))
+	now, ok := k.accept(sess, b)
+	if !ok {
 		return
 	}
-	if sess.offsetSink != nil {
-		sess.storeQ = append(sess.storeQ, b)
-	} else {
-		sess.ready[b.seq] = b
-	}
-	now := k.ep.Loop.Now()
-	k.noteWindowSample(now, now-b.tAcq)
-	if t := k.tel; t != nil {
-		t.creditLatency.Observe(int64(now - b.tAcq))
-		t.reassembly.Observe(int64(len(sess.ready) + len(sess.storeQ)))
-		t.blocksArrived.Inc()
-		t.bytesArrived.Add(int64(b.payloadLen))
-		t.granted.Set(int64(k.granted))
-	}
-	if b.last {
-		sess.haveLast = true
-		sess.lastSeq = b.seq
-	}
+	k.tel.granted.Set(int64(k.granted))
 	if sess.granted == 0 {
 		// The tenant's last outstanding credit just landed: until the
 		// scheduler feeds it again it is waiting on a scheduling slot.
@@ -1023,12 +869,49 @@ func (k *Sink) markArrived(b *block) {
 	if k.cfg.CreditPolicy == CreditProactive {
 		k.queueGrants(k.cfg.GrantPerConsume, grantOnConsume)
 	}
-	if sess.offsetSink != nil {
-		k.pumpStores(sess)
-	} else {
-		k.deliver(sess)
-	}
+	k.feedWriter(sess)
 	k.noteStall()
+}
+
+// accept is the control-plane half every arrival shares, pushed or
+// fetched, once the caller has settled its own ledger: the exactly-once
+// check, reassembly or store queueing, the window sample, and the
+// last-block latch. It returns the arrival time, and false when the
+// arrival failed the connection.
+func (k *Sink) accept(sess *sinkSession, b *block) (now time.Duration, ok bool) {
+	sess.arrived++
+	if dup := k.noteArrival(sess, b.seq); dup {
+		k.fail(fmt.Errorf("%w: duplicate block %d/%d", ErrProtocol, b.session, b.seq))
+		return 0, false
+	}
+	if sess.offsetSink != nil {
+		sess.storeQ = append(sess.storeQ, b)
+	} else {
+		sess.ready[b.seq] = b
+	}
+	now = k.ep.Loop.Now()
+	if k.win.sample(now, now-b.tAcq) {
+		// An epoch of steady arrivals without a fresh stall recording is
+		// weak evidence the recorded stall depth is stale: decay it toward
+		// the estimated pipeline depth. A genuinely batching-starved path
+		// re-records faster than this drains (recordings raise it in one
+		// step; decay removes an eighth of the excess per epoch), while a
+		// stall that merely coincided with a large pending batch
+		// (pool-limited WAN paths starve regardless of batching) stops
+		// suppressing coalescing after a few epochs.
+		if base := k.pipeDepth(); k.stallDepth > base {
+			k.stallDepth -= (k.stallDepth - base + 7) / 8
+		}
+	}
+	k.tel.creditLatency.Observe(int64(now - b.tAcq))
+	k.tel.reassembly.Observe(int64(len(sess.ready) + len(sess.storeQ)))
+	k.tel.blocksArrived.Inc()
+	k.tel.bytesArrived.Add(int64(b.payloadLen))
+	if b.last {
+		sess.haveLast = true
+		sess.lastSeq = b.seq
+	}
+	return now, true
 }
 
 // noteArrival records seq as arrived and reports whether it is a
@@ -1060,6 +943,16 @@ func (k *Sink) noteArrival(sess *sinkSession, seq uint32) (dup bool) {
 		sess.ooo[seq] = struct{}{}
 	}
 	return false
+}
+
+// feedWriter moves whatever the session has ready toward its writer,
+// by the path the writer supports.
+func (k *Sink) feedWriter(sess *sinkSession) {
+	if sess.offsetSink != nil {
+		k.pumpStores(sess)
+	} else {
+		k.deliver(sess)
+	}
 }
 
 // deliver hands ready blocks to the writer in sequence order
@@ -1096,13 +989,11 @@ func (k *Sink) pumpStores(sess *sinkSession) {
 // storeDone on the loop.
 func (k *Sink) issueStore(sess *sinkSession, b *block) {
 	b.setState(BlockStoring)
-	if k.tel != nil {
-		b.tReady = k.ep.Loop.Now()
-	}
 	sess.storing++
 	invariant.GaugeAdd(k.inv, "storing", int(sess.info.ID), 1)
-	if t := k.tel; t != nil {
-		t.storesInflight.Set(k.totalStoring())
+	if k.tel.reg != nil {
+		b.tReady = k.ep.Loop.Now()
+		k.tel.storesInflight.Set(k.totalStoring())
 	}
 	hdr := wire.BlockHeader{
 		Session: b.session, Seq: b.seq,
@@ -1112,48 +1003,7 @@ func (k *Sink) issueStore(sess *sinkSession, b *block) {
 	if !k.cfg.ModelPayload {
 		payload = b.mr.ViewLocal(wire.BlockHeaderSize, b.payloadLen)
 	}
-	t := k.getStoreTask(sess, b)
-	sess.writer.Store(hdr, payload, b.payloadLen, t.done)
-}
-
-// storeTask carries one store completion from the storage backend onto
-// the control loop without allocating per store; it mirrors the
-// source's loadTask (bound closures, control-loop free list).
-type storeTask struct {
-	k    *Sink
-	sess *sinkSession
-	b    *block
-	err  error
-	done func(error)
-	run  func()
-}
-
-func (k *Sink) getStoreTask(sess *sinkSession, b *block) *storeTask {
-	var t *storeTask
-	if n := len(k.storeTasks); n > 0 {
-		t = k.storeTasks[n-1]
-		k.storeTasks = k.storeTasks[:n-1]
-	} else {
-		t = &storeTask{k: k}
-		t.done = t.complete
-		t.run = t.exec
-	}
-	t.sess, t.b = sess, b
-	return t
-}
-
-// complete is handed to the BlockSink as its completion callback; it
-// may run on any goroutine, so it only records the result and posts.
-func (t *storeTask) complete(err error) {
-	t.err = err
-	t.k.ep.Loop.Post(0, t.run)
-}
-
-func (t *storeTask) exec() {
-	k, sess, b, err := t.k, t.sess, t.b, t.err
-	t.sess, t.b, t.err = nil, nil, nil
-	k.storeTasks = append(k.storeTasks, t)
-	k.storeDone(sess, b, err)
+	sess.writer.Store(hdr, payload, b.payloadLen, k.stores.get(sess, b).stored)
 }
 
 // totalStoring sums in-flight stores across sessions (telemetry).
@@ -1173,8 +1023,8 @@ func (k *Sink) storeDone(sess *sinkSession, b *block, err error) {
 	}
 	sess.storing--
 	invariant.GaugeAdd(k.inv, "storing", int(sess.info.ID), -1)
-	if t := k.tel; t != nil {
-		t.storesInflight.Set(k.totalStoring())
+	if k.tel.reg != nil {
+		k.tel.storesInflight.Set(k.totalStoring())
 	}
 	if err != nil {
 		// Sink-initiated abort: recycle the failed block, tear the
@@ -1182,8 +1032,7 @@ func (k *Sink) storeDone(sess *sinkSession, b *block, err error) {
 		// source may still have WRITEs in flight into them — the
 		// zombie record waits for its drain confirm), and tell the
 		// source to stop.
-		b.setState(BlockFree)
-		k.pool.put(b)
+		k.pool.recycle(b)
 		k.stats.CreditsReclaimed++
 		k.finishSession(sess, fmt.Errorf("core: storing block %d: %w", b.seq, err), false)
 		k.sendCtrl(&wire.Control{Type: wire.MsgAbort, Session: sess.info.ID})
@@ -1194,13 +1043,10 @@ func (k *Sink) storeDone(sess *sinkSession, b *block, err error) {
 	k.stats.Bytes += int64(b.payloadLen)
 	k.stats.Blocks++
 	k.stats.End = k.ep.Loop.Now()
-	if t := k.tel; t != nil {
-		t.storeLatency.Observe(int64(k.stats.End - b.tReady))
-		sess.telBytes.Add(int64(b.payloadLen))
-		sess.telBlocks.Inc()
-	}
-	b.setState(BlockFree)
-	k.pool.put(b)
+	k.tel.storeLatency.Observe(int64(k.stats.End - b.tReady))
+	sess.telBytes.Add(int64(b.payloadLen))
+	sess.telBlocks.Inc()
+	k.pool.recycle(b)
 	starving := k.popPendingReq()
 	if starving != nil {
 		batch := k.cfg.OnDemandBatch
@@ -1208,9 +1054,7 @@ func (k *Sink) storeDone(sess *sinkSession, b *block, err error) {
 			// Multiplexed tenants: even the starvation path honors the
 			// requester's DRR share, or FCFS refills would concentrate
 			// the pool on whoever asked first.
-			if m := k.sessionCap(starving) - starving.granted; batch > m {
-				batch = m
-			}
+			batch = min(batch, k.sessionCap(starving)-starving.granted)
 		}
 		if batch >= 1 {
 			k.grantCredits(starving, batch, grantOnDemand)
@@ -1222,23 +1066,12 @@ func (k *Sink) storeDone(sess *sinkSession, b *block, err error) {
 			starving = nil
 		}
 	}
-	if starving == nil && k.cfg.CreditPolicy == CreditProactive && !k.cfg.NoGrantOnFree &&
-		len(k.sessions) > 0 && k.pushSessions > 0 {
-		// Active feedback: once the window has ramped, consume-time
-		// grants find nothing free, so re-advertise each block the
-		// moment it frees. Without this the source burns its stash and
-		// degenerates into explicit request round-trips. Freed blocks
-		// join the coalescer's batch rather than each paying for a
-		// full control message.
-		k.queueGrants(1, grantOnFree)
+	if starving == nil {
+		k.regrant(1)
 	}
 	// A freed store slot may unblock queued or ready blocks, and the
 	// freed block may unblock a queued fetch.
-	if sess.offsetSink != nil {
-		k.pumpStores(sess)
-	} else {
-		k.deliver(sess)
-	}
+	k.feedWriter(sess)
 	k.pumpFetches()
 	k.noteStall()
 }
@@ -1305,15 +1138,10 @@ func (k *Sink) finishSession(sess *sinkSession, err error, reclaim bool) {
 		k.sendCtrl(&wire.Control{Type: wire.MsgReadDone, Session: sess.info.ID, Seq: adv.seq, RKey: adv.rkey})
 	}
 	sess.fetchQ = nil
-	for i, r := range k.schedOrder {
-		if r == sess {
-			k.schedOrder = append(k.schedOrder[:i], k.schedOrder[i+1:]...)
-			break
-		}
+	if i := slices.Index(k.schedOrder, sess); i >= 0 {
+		k.schedOrder = slices.Delete(k.schedOrder, i, i+1)
 	}
-	if t := k.tel; t != nil {
-		t.sessionsActive.Set(int64(len(k.schedOrder)))
-	}
+	k.tel.sessionsActive.Set(int64(len(k.schedOrder)))
 	if len(k.sessions) == 0 && k.pendingGrant > 0 {
 		// No session left to feed: abandon the coalesced batch so its
 		// blocks stay free instead of being advertised into the void.
@@ -1326,23 +1154,17 @@ func (k *Sink) finishSession(sess *sinkSession, err error, reclaim bool) {
 	k.stats.CreditsReclaimed += int64(len(sess.ready) + len(sess.storeQ))
 	for _, b := range sess.ready {
 		k.dropOwned(sess, b)
-		b.setState(BlockFree)
-		k.pool.put(b)
+		k.pool.recycle(b)
 	}
 	for _, b := range sess.storeQ {
 		k.dropOwned(sess, b)
-		b.setState(BlockFree)
-		k.pool.put(b)
+		k.pool.recycle(b)
 	}
 	sess.ready = nil
 	sess.storeQ = nil
 	sess.ooo = nil
 	if reclaim {
-		n := k.reclaimOwned(sess.info.ID, sess.owned)
-		if n > 0 && len(k.sessions) > 0 && k.failed == nil && !k.closed &&
-			k.cfg.CreditPolicy == CreditProactive && !k.cfg.NoGrantOnFree {
-			k.queueGrants(n, grantOnFree)
-		}
+		k.regrant(k.reclaimOwned(sess.info.ID, sess.owned))
 	} else if k.failed == nil && !k.closed && len(sess.owned) > 0 {
 		k.zombies[sess.info.ID] = &zombieSession{owned: sess.owned, arrived: sess.arrived}
 	}

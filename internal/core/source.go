@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -38,11 +39,9 @@ type Source struct {
 	pumping bool
 	repump  bool
 
-	ctrlWR    verbs.SendWR // reused control-post WR (PostSend copies)
-	loadTasks []*loadTask  // free list of load completion carriers
+	loads ioTasks[*srcSession] // load completion carriers
 
-	ctrlQ    [][]byte // encoded control messages awaiting queue space
-	negoStep int      // 0 idle, 1 block size sent, 2 channels sent, 3 done
+	negoStep int // 0 idle, 1 block size sent, 2 channels sent, 3 done
 	onReady  func(error)
 	openQ    []*srcSession // waiting to send SESSION_REQ
 	// opening holds sessions whose SESSION_REQ is outstanding, up to
@@ -54,8 +53,9 @@ type Source struct {
 	nextTok    uint32
 	sessions   map[uint32]*srcSession
 	rrSessions []*srcSession // load scheduling order
-	nextSess   int           // postWrites round-robin cursor into rrSessions
 	loadRR     int           // issueLoads round-robin cursor into rrSessions
+	// writeSweep/advertSweep walk rrSessions for postWrites/postAdverts.
+	writeSweep, advertSweep sweep[*srcSession]
 
 	chInflight  []int // per data QP
 	chDead      []bool
@@ -63,18 +63,10 @@ type Source struct {
 	nextCh      int
 
 	// Pull-mode advertise pipeline (pullmode.go): total advertisements
-	// outstanding across sessions, the postAdverts round-robin cursor,
-	// and the advertise-window estimator — the sink's adaptive credit
-	// window run in reverse (advert→READ_DONE RTT min-filtered over a
-	// sliding window, READ_DONE inter-arrival gap as an epoch EWMA).
-	advertCount    int
-	nextAdvSess    int
-	advRTT         time.Duration
-	advRTTAge      int
-	advGap         time.Duration
-	advSamples     int
-	advEpochStart  time.Duration
-	advEpochBlocks int
+	// outstanding across sessions, bounded by a window estimated from the
+	// advert→READ_DONE round trip and the READ_DONE arrival rate.
+	advertCount int
+	advWin      rateWindow
 
 	// inv is the debug-build invariant ledger (no-op handle otherwise).
 	inv uint64
@@ -94,9 +86,9 @@ type Source struct {
 	OnProgress func(session uint32, bytes int64)
 	// Trace, when set, records protocol events into a ring buffer.
 	Trace *trace.Ring
-	// tel holds resolved metric handles; nil when telemetry is detached
-	// (see AttachTelemetry).
-	tel *sourceTelemetry
+	// tel holds resolved metric handles; all nil (and tel.reg nil) while
+	// telemetry is detached (see AttachTelemetry).
+	tel sourceTelemetry
 	// spans/stalls hold the lifecycle span recorder and the stall
 	// attributor; nil when detached (see AttachSpans).
 	spans  *spans.Recorder
@@ -155,8 +147,7 @@ type srcSession struct {
 	// fixed-size completion epochs.
 	lastSwitchBlocks int64
 	modeRate         [2]float64
-	rateEpochStart   time.Duration
-	rateEpochBlocks  int
+	rateEpoch        epoch
 }
 
 // loadDepth is how many loads this session may keep in flight: plain
@@ -203,10 +194,12 @@ func NewSource(ep *Endpoint, cfg Config) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep.CtrlCQ.SetHandler(s.onCtrlWC)
+	s.writeSweep.step, s.advertSweep.step = s.tryWrite, s.tryAdvert
+	s.loads = ioTasks[*srcSession]{loop: ep.Loop, done: s.loadDone}
 	for i := range ep.DataCQs {
 		s.shards = append(s.shards, newSrcShard(s, i, cfg.IODepth+dataQueueSlack))
 	}
+	ep.ctrl.claim(s.handleCtrl, s.fail)
 	return s, nil
 }
 
@@ -303,37 +296,11 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// sendCtrl encodes and queues a control message. Sends are signaled so
-// completions drain the queue when the send queue was momentarily full.
+// sendCtrl counts and queues one control message.
 func (s *Source) sendCtrl(c *wire.Control) {
-	buf, err := c.Encode(nil)
-	if err != nil {
-		s.fail(fmt.Errorf("core: encoding %v: %w", c.Type, err))
-		return
-	}
 	s.stats.CtrlMsgs++
-	if s.tel != nil {
-		s.tel.ctrlMsgs.Inc()
-	}
-	s.ctrlQ = append(s.ctrlQ, buf)
-	s.pumpCtrl()
-}
-
-// pumpCtrl posts queued control messages while the send queue accepts
-// them; ErrSendQueueFull waits for a send completion.
-func (s *Source) pumpCtrl() {
-	for len(s.ctrlQ) > 0 {
-		s.ctrlWR = verbs.SendWR{Op: verbs.OpSend, Data: s.ctrlQ[0]}
-		err := s.ep.Ctrl.PostSend(&s.ctrlWR)
-		if err == verbs.ErrSendQueueFull {
-			return
-		}
-		if err != nil {
-			s.fail(fmt.Errorf("core: posting control message: %w", err))
-			return
-		}
-		s.ctrlQ = s.ctrlQ[1:]
-	}
+	s.tel.ctrlMsgs.Inc()
+	s.ep.ctrl.send(c, nil)
 }
 
 // maxOpenInflight bounds concurrent SESSION_REQs outstanding, keeping
@@ -373,34 +340,6 @@ func (s *Source) popOpening(tok uint32) *srcSession {
 		}
 	}
 	return nil
-}
-
-// onCtrlWC handles control queue completions.
-func (s *Source) onCtrlWC(wc verbs.WC) {
-	if s.closed {
-		return
-	}
-	if wc.Status != verbs.StatusSuccess {
-		if wc.Status == verbs.StatusFlushed {
-			return
-		}
-		s.fail(fmt.Errorf("core: control QP failure: %v", wc.Status))
-		return
-	}
-	if wc.Op != verbs.OpRecv {
-		s.pumpCtrl() // a send slot freed; drain queued control messages
-		return
-	}
-	c, err := wire.DecodeControl(wc.Data)
-	if err != nil {
-		s.fail(fmt.Errorf("core: bad control message: %w", err))
-		return
-	}
-	if err := s.ep.repostCtrlRecv(wc.WRID); err != nil && !s.closed {
-		s.fail(fmt.Errorf("core: reposting control recv: %w", err))
-		return
-	}
-	s.handleCtrl(c)
 }
 
 func (s *Source) handleCtrl(c *wire.Control) {
@@ -477,10 +416,8 @@ func (s *Source) handleCtrl(c *wire.Control) {
 		sess.stalled = false
 		sess.credits = append(sess.credits, c.Credits...)
 		s.creditCount += len(c.Credits)
-		if s.tel != nil {
-			s.tel.creditsRecv.Add(int64(len(c.Credits)))
-			s.tel.creditStash.Set(int64(s.creditCount))
-		}
+		s.tel.creditsRecv.Add(int64(len(c.Credits)))
+		s.tel.creditStash.Set(int64(s.creditCount))
 		s.Trace.Emit(trace.Event{Cat: trace.CatCredit, Name: "credits_recv",
 			Session: c.Session, V1: int64(len(c.Credits)), V2: int64(s.creditCount)})
 		s.pump()
@@ -537,11 +474,8 @@ func (s *Source) finishNego(err error) {
 func (s *Source) removeSession(sess *srcSession) {
 	delete(s.sessions, sess.id)
 	invariant.StreamReset(s.inv, sess.id)
-	for i, r := range s.rrSessions {
-		if r == sess {
-			s.rrSessions = append(s.rrSessions[:i], s.rrSessions[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.rrSessions, sess); i >= 0 {
+		s.rrSessions = slices.Delete(s.rrSessions, i, i+1)
 	}
 }
 
@@ -586,9 +520,7 @@ func (s *Source) pumpOnce() {
 		}
 		sess.stalled = true
 		s.stats.CreditStalls++
-		if s.tel != nil {
-			s.tel.creditStalls.Inc()
-		}
+		s.tel.creditStalls.Inc()
 		s.Trace.Emit(trace.Event{Cat: trace.CatCredit, Name: "credit_stall",
 			Session: sess.id, V1: s.stats.CreditStalls, V2: int64(len(sess.loadedQ))})
 		s.sendCtrl(&wire.Control{Type: wire.MsgMRInfoRequest, Session: sess.id})
@@ -665,7 +597,7 @@ func (s *Source) issueLoads() {
 func (s *Source) issueLoad(sess *srcSession, b *block) {
 	sess.loads++
 	b.setState(BlockLoading)
-	if s.tel != nil {
+	if s.tel.reg != nil {
 		b.tAcq = s.ep.Loop.Now()
 		s.tel.loadsInflight.Set(s.totalLoads())
 	}
@@ -680,60 +612,16 @@ func (s *Source) issueLoad(sess *srcSession, b *block) {
 		payload = b.mr.Buf[wire.BlockHeaderSize:]
 	}
 	capacity := s.cfg.PayloadCapacity()
-	t := s.getLoadTask(sess, b)
+	t := s.loads.get(sess, b)
 	if sess.srcAt != nil {
 		// Assume a full block; an EOF completion trims. Once any load
 		// reports EOF no further loads are issued, so the stride error
 		// never propagates into a sent block.
 		sess.nextOffset += uint64(capacity)
-		sess.srcAt.LoadAt(payload, capacity, b.offset, t.done)
+		sess.srcAt.LoadAt(payload, capacity, b.offset, t.loaded)
 	} else {
-		sess.src.Load(payload, capacity, t.done)
+		sess.src.Load(payload, capacity, t.loaded)
 	}
-}
-
-// loadTask carries one load completion from the storage backend onto
-// the control loop without allocating per load: the done and run
-// closures are bound once at construction and the task recycles
-// through the Source's free list (control-loop only, so a plain slice
-// suffices).
-type loadTask struct {
-	s    *Source
-	sess *srcSession
-	b    *block
-	n    int
-	eof  bool
-	err  error
-	done func(int, bool, error)
-	run  func()
-}
-
-func (s *Source) getLoadTask(sess *srcSession, b *block) *loadTask {
-	var t *loadTask
-	if n := len(s.loadTasks); n > 0 {
-		t = s.loadTasks[n-1]
-		s.loadTasks = s.loadTasks[:n-1]
-	} else {
-		t = &loadTask{s: s}
-		t.done = t.complete
-		t.run = t.exec
-	}
-	t.sess, t.b = sess, b
-	return t
-}
-
-// complete is handed to the BlockSource as its completion callback; it
-// may run on any goroutine, so it only records the result and posts.
-func (t *loadTask) complete(n int, eof bool, err error) {
-	t.n, t.eof, t.err = n, eof, err
-	t.s.ep.Loop.Post(0, t.run)
-}
-
-func (t *loadTask) exec() {
-	s, sess, b, n, eof, err := t.s, t.sess, t.b, t.n, t.eof, t.err
-	t.sess, t.b, t.err = nil, nil, nil
-	s.loadTasks = append(s.loadTasks, t)
-	s.loadDone(sess, b, n, eof, err)
 }
 
 func (s *Source) loadDone(sess *srcSession, b *block, n int, eof bool, err error) {
@@ -741,29 +629,26 @@ func (s *Source) loadDone(sess *srcSession, b *block, n int, eof bool, err error
 		return
 	}
 	sess.loads--
-	if s.tel != nil {
+	if s.tel.reg != nil {
 		s.tel.loadsInflight.Set(s.totalLoads())
 	}
 	if s.sessions[sess.id] != sess || sess.aborting {
 		// The session failed, finished, or is draining toward an abort
 		// while this load was in flight; recycle the block and keep
 		// other sessions moving.
-		b.setState(BlockFree)
-		s.pool.put(b)
+		s.pool.recycle(b)
 		s.maybeFinishAbort(sess)
 		s.pump()
 		return
 	}
 	if err != nil {
 		seq := b.seq
-		b.setState(BlockFree)
-		s.pool.put(b)
+		s.pool.recycle(b)
 		s.abortSession(sess, fmt.Errorf("core: loading block %d: %w", seq, err))
 		return
 	}
 	if n == 0 && !eof {
-		b.setState(BlockFree)
-		s.pool.put(b)
+		s.pool.recycle(b)
 		s.abortSession(sess, fmt.Errorf("%w: empty load without EOF", ErrProtocol))
 		return
 	}
@@ -777,8 +662,7 @@ func (s *Source) loadDone(sess *srcSession, b *block, n int, eof bool, err error
 		// dataset still sends one empty last block.
 		s.Trace.Emit(trace.Event{Cat: trace.CatBlock, Name: "load_overrun",
 			Session: sess.id, Block: b.seq})
-		b.setState(BlockFree)
-		s.pool.put(b)
+		s.pool.recycle(b)
 		s.pump()
 		return
 	}
@@ -788,7 +672,7 @@ func (s *Source) loadDone(sess *srcSession, b *block, n int, eof bool, err error
 	b.payloadLen = n
 	b.last = eof
 	b.setState(BlockLoaded)
-	if s.tel != nil {
+	if s.tel.reg != nil {
 		b.tReady = s.ep.Loop.Now()
 		s.tel.loadLatency.Observe(int64(b.tReady - b.tAcq))
 	}
@@ -807,74 +691,56 @@ func (s *Source) totalLoads() int64 {
 }
 
 // postWrites pairs loaded blocks with credits and channels, then hands
-// each block to its channel's reactor shard for the actual PostSend.
-// Sessions are drained round-robin, one block per turn, so blocks from
-// many sessions interleave onto the shared channels: a session out of
-// credits (or out of data) is skipped rather than parking its queue
-// head in front of everyone else — the multiplexed replacement for the
-// old global FIFO's head-of-line blocking. The accounting (credit
-// consumed, inflight counters) is committed here, before the handoff;
-// a shard that cannot post sends the block back and postReverted
-// undoes it.
-func (s *Source) postWrites() {
-	for progress := true; progress && s.failed == nil; {
-		progress = false
-		n := len(s.rrSessions)
-		for i := 0; i < n && s.failed == nil; i++ {
-			// An inline shard handoff can bounce a completion back into
-			// the control plane mid-loop and remove a session; index
-			// against the live slice length, not the snapshot.
-			m := len(s.rrSessions)
-			if m == 0 {
-				return
-			}
-			sess := s.rrSessions[(s.nextSess+i)%m]
-			// Pull sessions advertise instead of writing; a switching
-			// session must stop consuming credits the moment the
-			// handshake starts — the sink reclaims and re-grants its
-			// regions, so a late WRITE would land in another tenant's
-			// memory.
-			if sess.aborting || sess.mode == ModePull || sess.switching ||
-				len(sess.loadedQ) == 0 || len(sess.credits) == 0 {
-				continue
-			}
-			b := sess.loadedQ[0]
-			cr := sess.credits[0]
-			if int(cr.Len) < wire.BlockHeaderSize+b.payloadLen {
-				// Credit too small for this block: protocol violation
-				// (the block size was negotiated).
-				s.fail(fmt.Errorf("%w: credit len %d < block need %d", ErrProtocol, cr.Len, wire.BlockHeaderSize+b.payloadLen))
-				return
-			}
-			ch := s.pickChannel()
-			if ch < 0 {
-				s.nextSess = (s.nextSess + i) % m
-				return // all channels at depth; completions will re-pump
-			}
-			sess.loadedQ = sess.loadedQ[1:]
-			sess.credits = sess.credits[1:]
-			s.creditCount--
-			invariant.CreditConsume(s.inv, 1)
-			b.credit = cr
-			b.chIdx = ch
-			b.setState(BlockSending)
-			s.chInflight[ch]++
-			invariant.GaugeAdd(s.inv, "ch.inflight", ch, 1)
-			sess.inflight++
-			sess.queued--
-			if t := s.tel; t != nil {
-				t.creditStash.Set(int64(s.creditCount))
-				t.inflight.Set(s.totalInflight())
-			}
-			progress = true
-			// Ownership handoff: the shard encodes, posts, and completes
-			// the Sending→Waiting transition (or bounces the block back).
-			s.shards[s.ep.shardIndex(ch)].inbox.send(b)
-		}
-		if n > 0 {
-			s.nextSess = (s.nextSess + 1) % n
-		}
+// each block to its channel's reactor shard for the actual PostSend: a
+// session out of credits (or out of data) is skipped by the sweep, the
+// multiplexed replacement for the old global FIFO's head-of-line
+// blocking.
+func (s *Source) postWrites() { s.writeSweep.run(&s.rrSessions) }
+
+// tryWrite is postWrites' per-session step. The accounting (credit
+// consumed, inflight counters) is committed here, before the handoff; a
+// shard that cannot post sends the block back and postReverted undoes
+// it.
+func (s *Source) tryWrite(sess *srcSession) step {
+	// Pull sessions advertise instead of writing; a switching session
+	// must stop consuming credits the moment the handshake starts — the
+	// sink reclaims and re-grants its regions, so a late WRITE would land
+	// in another tenant's memory.
+	if sess.aborting || sess.mode == ModePull || sess.switching ||
+		len(sess.loadedQ) == 0 || len(sess.credits) == 0 {
+		return stepSkip
 	}
+	b := sess.loadedQ[0]
+	cr := sess.credits[0]
+	if int(cr.Len) < wire.BlockHeaderSize+b.payloadLen {
+		// Credit too small for this block: protocol violation (the block
+		// size was negotiated).
+		s.fail(fmt.Errorf("%w: credit len %d < block need %d", ErrProtocol, cr.Len, wire.BlockHeaderSize+b.payloadLen))
+		return stepBlocked
+	}
+	ch := pickChannel(&s.nextCh, s.chInflight, s.cfg.IODepth+dataQueueSlack, s.chDead, s.chSaturated)
+	if ch < 0 {
+		return stepBlocked // all channels at depth; completions will re-pump
+	}
+	sess.loadedQ = sess.loadedQ[1:]
+	sess.credits = sess.credits[1:]
+	s.creditCount--
+	invariant.CreditConsume(s.inv, 1)
+	b.credit = cr
+	b.chIdx = ch
+	b.setState(BlockSending)
+	s.chInflight[ch]++
+	invariant.GaugeAdd(s.inv, "ch.inflight", ch, 1)
+	sess.inflight++
+	sess.queued--
+	if s.tel.reg != nil {
+		s.tel.creditStash.Set(int64(s.creditCount))
+		s.tel.inflight.Set(s.totalInflight())
+	}
+	// Ownership handoff: the shard encodes, posts, and completes the
+	// Sending→Waiting transition (or bounces the block back).
+	s.shards[s.ep.shardIndex(ch)].inbox.send(b)
+	return stepTook
 }
 
 // postReverted undoes postWrites' accounting for a block the shard
@@ -897,14 +763,9 @@ func (s *Source) postReverted(b *block, err error) {
 		invariant.CreditGrant(s.inv, 1)
 	} else {
 		// The owning session died while the block was with the shard:
-		// recycle it and let the credit stay consumed — the sink
-		// reclaims the backing region at session teardown.
-		b.setState(BlockFree)
-		s.pool.put(b)
-		if sess != nil {
-			sess.inflight--
-			s.maybeFinishAbort(sess)
-		}
+		// the credit stays consumed — the sink reclaims the backing
+		// region at session teardown.
+		s.discard(sess, b)
 	}
 	if err == verbs.ErrSendQueueFull {
 		s.chSaturated[ch] = true
@@ -919,23 +780,50 @@ func (s *Source) postReverted(b *block, err error) {
 	s.pump()
 }
 
-func wire2remote(c wire.Credit) verbs.RemoteAddr {
-	return verbs.RemoteAddr{Addr: c.Addr, RKey: c.RKey}
+// discard recycles an in-flight block that will not be (re)sent: its
+// session is gone (nil) or draining toward an abort.
+func (s *Source) discard(sess *srcSession, b *block) {
+	s.pool.recycle(b)
+	if sess != nil {
+		sess.inflight--
+		s.maybeFinishAbort(sess)
+	}
 }
 
-// pickChannel returns the next usable data channel (round-robin),
-// or -1 when every live channel is at depth or saturated.
-func (s *Source) pickChannel() int {
-	depth := s.cfg.IODepth + dataQueueSlack
-	for i := 0; i < len(s.ep.Data); i++ {
-		ch := (s.nextCh + i) % len(s.ep.Data)
-		if s.chDead[ch] || s.chSaturated[ch] || s.chInflight[ch] >= depth {
-			continue
+// delivered accounts one block the sink now holds: a completed WRITE
+// under push, an accepted READ_DONE under pull.
+func (s *Source) delivered(sess *srcSession, b *block, now time.Duration) {
+	s.stats.Bytes += int64(b.payloadLen)
+	s.stats.Blocks++
+	s.stats.End = now
+	if sess != nil {
+		sess.sent += int64(b.payloadLen)
+		sess.blocks++
+		if s.OnProgress != nil {
+			s.OnProgress(sess.id, sess.sent)
 		}
-		s.nextCh = (ch + 1) % len(s.ep.Data)
-		return ch
 	}
-	return -1
+}
+
+// retire recycles a block whose offer the sink has settled and moves
+// its session on: a draining session toward its abort, a live one
+// through the hybrid controller (a mode switch waits for the last
+// outstanding block of the old path to drain).
+func (s *Source) retire(sess *srcSession, b *block) {
+	s.pool.recycle(b)
+	if sess != nil && sess.aborting {
+		s.maybeFinishAbort(sess)
+	} else if sess != nil {
+		s.noteModeProgress(sess)
+		if sess.switching {
+			s.maybeSendSwitchReq(sess)
+		}
+	}
+	s.pump()
+}
+
+func wire2remote(c wire.Credit) verbs.RemoteAddr {
+	return verbs.RemoteAddr{Addr: c.Addr, RKey: c.RKey}
 }
 
 func (s *Source) totalInflight() int64 {
@@ -981,38 +869,19 @@ func (s *Source) writeDone(b *block, status verbs.Status) {
 				Length:  uint32(b.payloadLen),
 			})
 		}
-		s.stats.Bytes += int64(b.payloadLen)
-		s.stats.Blocks++
-		s.stats.End = s.ep.Loop.Now()
-		if t := s.tel; t != nil {
-			t.postLatency.Observe(int64(s.stats.End - b.tPost))
-			t.inflight.Set(s.totalInflight())
-		}
 		if sess != nil {
-			sess.sent += int64(b.payloadLen)
-			sess.blocks++
 			sess.inflight--
-			if s.OnProgress != nil {
-				s.OnProgress(sess.id, sess.sent)
-			}
 		}
-		b.setState(BlockFree)
-		s.pool.put(b)
-		if sess != nil && sess.aborting {
-			s.maybeFinishAbort(sess)
-		} else if sess != nil {
-			s.noteModeProgress(sess)
-			if sess.switching {
-				// A push→pull switch waits for the last WRITE to drain.
-				s.maybeSendSwitchReq(sess)
-			}
+		s.delivered(sess, b, s.ep.Loop.Now())
+		if s.tel.reg != nil {
+			s.tel.postLatency.Observe(int64(s.stats.End - b.tPost))
+			s.tel.inflight.Set(s.totalInflight())
 		}
-		s.pump()
+		s.retire(sess, b)
 
 	case verbs.StatusFlushed:
 		// Teardown in progress; drop.
-		b.setState(BlockFree)
-		s.pool.put(b)
+		s.pool.recycle(b)
 		if sess != nil && sess.aborting {
 			sess.inflight--
 			s.maybeFinishAbort(sess)
@@ -1026,26 +895,12 @@ func (s *Source) writeDone(b *block, status verbs.Status) {
 			V1: int64(b.retries + 1), Text: status.String()})
 		s.chDead[b.chIdx] = true
 		s.stats.Retries++
-		if s.tel != nil {
-			s.tel.retransmits.Inc()
-		}
-		if sess == nil || sess.aborting {
-			// The owner died or is draining toward an abort: no retry.
-			b.setState(BlockFree)
-			s.pool.put(b)
-			if sess != nil {
-				sess.inflight--
-				s.maybeFinishAbort(sess)
-			}
-			if s.liveChannels() == 0 {
-				s.fail(fmt.Errorf("core: all data channels failed: %v", status))
-				return
-			}
-			s.pump()
-			return
-		}
-		b.retries++
-		if b.retries > s.cfg.MaxRetries {
+		s.tel.retransmits.Inc()
+		// No retry when the owner died or is draining toward an abort.
+		retry := sess != nil && !sess.aborting
+		if !retry {
+			s.discard(sess, b)
+		} else if b.retries++; b.retries > s.cfg.MaxRetries {
 			s.fail(fmt.Errorf("%w: block %d/%d after %v", ErrTooManyRetries, b.session, b.seq, status))
 			return
 		}
@@ -1053,10 +908,12 @@ func (s *Source) writeDone(b *block, status verbs.Status) {
 			s.fail(fmt.Errorf("core: all data channels failed: %v", status))
 			return
 		}
-		sess.inflight--
-		sess.queued++
-		b.setState(BlockLoaded)
-		sess.loadedQ = append([]*block{b}, sess.loadedQ...)
+		if retry {
+			sess.inflight--
+			sess.queued++
+			b.setState(BlockLoaded)
+			sess.loadedQ = append([]*block{b}, sess.loadedQ...)
+		}
 		s.pump()
 	}
 }
@@ -1090,9 +947,7 @@ func (s *Source) dropCredits(sess *srcSession) {
 	invariant.CreditConsume(s.inv, int64(n))
 	s.creditCount -= n
 	sess.credits = nil
-	if s.tel != nil {
-		s.tel.creditStash.Set(int64(s.creditCount))
-	}
+	s.tel.creditStash.Set(int64(s.creditCount))
 }
 
 // abortSession starts tearing one session down; the connection
@@ -1109,8 +964,7 @@ func (s *Source) abortSession(sess *srcSession, err error) {
 	sess.abortErr = err
 	sess.stalled = false
 	for _, b := range sess.loadedQ {
-		b.setState(BlockFree)
-		s.pool.put(b)
+		s.pool.recycle(b)
 	}
 	sess.queued -= len(sess.loadedQ)
 	sess.loadedQ = nil

@@ -8,6 +8,8 @@ package core
 // maps) describe exactly which resource is binding right now.
 
 import (
+	"time"
+
 	"rftp/internal/spans"
 	"rftp/internal/telemetry"
 )
@@ -18,17 +20,18 @@ import (
 // check per transition) while stall attribution stays on. Call before
 // Start, from the loop or while it is not running.
 func (s *Source) AttachSpans(reg *telemetry.Registry, sample int) {
-	clock := s.ep.Loop.Now
-	s.spans = spans.New(spans.KindSource, spans.Config{
-		Sample:   sample,
-		Slots:    len(s.pool.blocks),
-		Clock:    clock,
-		Registry: reg,
-	})
-	s.stalls = spans.NewStallTracker(reg, clock)
-	for _, b := range s.pool.blocks {
-		b.spans = s.spans
+	s.spans = s.pool.attachSpans(spans.KindSource, reg, sample, s.ep.Loop.Now)
+	s.stalls = spans.NewStallTracker(reg, s.ep.Loop.Now)
+}
+
+// attachSpans builds a recorder with one slot per pool block and hands
+// every block its handle.
+func (p *pool) attachSpans(kind spans.Kind, reg *telemetry.Registry, sample int, clock func() time.Duration) *spans.Recorder {
+	rec := spans.New(kind, spans.Config{Sample: sample, Slots: len(p.blocks), Clock: clock, Registry: reg})
+	for _, b := range p.blocks {
+		b.spans = rec
 	}
+	return rec
 }
 
 // Spans returns the attached span recorder (nil when detached or
@@ -116,15 +119,7 @@ func (k *Sink) AttachSpans(reg *telemetry.Registry, sample int) {
 
 // attachPoolSpans builds the sink recorder once the pool exists.
 func (k *Sink) attachPoolSpans() {
-	k.spans = spans.New(spans.KindSink, spans.Config{
-		Sample:   k.spanSample,
-		Slots:    len(k.pool.blocks),
-		Clock:    k.ep.Loop.Now,
-		Registry: k.spanReg,
-	})
-	for _, b := range k.pool.blocks {
-		b.spans = k.spans
-	}
+	k.spans = k.pool.attachSpans(spans.KindSink, k.spanReg, k.spanSample, k.ep.Loop.Now)
 }
 
 // Spans returns the attached span recorder (nil when detached,

@@ -50,8 +50,11 @@ func creditBatchBuckets() []int64 {
 }
 
 // sourceTelemetry holds the source's metric handles, resolved once at
-// attach time so hot paths touch atomics directly. A nil
-// *sourceTelemetry disables everything at the cost of one branch.
+// attach time so hot paths touch atomics directly. The zero value is
+// the detached state: every handle is nil, and a nil handle's methods
+// are no-ops, so call sites need no guard of their own. Only work
+// beyond a handle call (a clock read, a sum over sessions, indexing the
+// per-channel slices) checks reg != nil first.
 type sourceTelemetry struct {
 	reg *telemetry.Registry
 
@@ -89,10 +92,10 @@ type sourceTelemetry struct {
 // from the loop or before any fabric activity. A nil registry detaches.
 func (s *Source) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
-		s.tel = nil
+		s.tel = sourceTelemetry{}
 		return
 	}
-	t := &sourceTelemetry{
+	t := sourceTelemetry{
 		reg:                reg,
 		blocksPosted:       reg.Counter("blocks_posted"),
 		bytesPosted:        reg.Counter("bytes_posted"),
@@ -119,14 +122,10 @@ func (s *Source) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // Telemetry returns the attached registry (nil when detached).
-func (s *Source) Telemetry() *telemetry.Registry {
-	if s.tel == nil {
-		return nil
-	}
-	return s.tel.reg
-}
+func (s *Source) Telemetry() *telemetry.Registry { return s.tel.reg }
 
-// sinkTelemetry mirrors sourceTelemetry for the receive side.
+// sinkTelemetry is the receive side's handle set (same zero-value
+// contract as sourceTelemetry).
 type sinkTelemetry struct {
 	reg *telemetry.Registry
 
@@ -172,10 +171,10 @@ type sinkTelemetry struct {
 // Source starts. A nil registry detaches.
 func (k *Sink) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
-		k.tel = nil
+		k.tel = sinkTelemetry{}
 		return
 	}
-	t := &sinkTelemetry{
+	t := sinkTelemetry{
 		reg:              reg,
 		blocksArrived:    reg.Counter("blocks_arrived"),
 		bytesArrived:     reg.Counter("bytes_arrived"),
@@ -202,12 +201,7 @@ func (k *Sink) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // Telemetry returns the attached registry (nil when detached).
-func (k *Sink) Telemetry() *telemetry.Registry {
-	if k.tel == nil {
-		return nil
-	}
-	return k.tel.reg
-}
+func (k *Sink) Telemetry() *telemetry.Registry { return k.tel.reg }
 
 // sessionCounters resolves the per-session byte/block counters lazily
 // (sessions are created while telemetry may be attached or not).

@@ -437,6 +437,13 @@ func (d *Device) writer() {
 		if off > runStart {
 			iov = append(iov, hdrs[runStart:off])
 		}
+		// Count the batch before the socket sees it: the peer's ACK can
+		// complete a WR before this goroutine runs again, and whoever
+		// waited on that completion must find the counters caught up. A
+		// failed write tears the device down, so the overcount is moot.
+		d.TxBytes.Add(uint64(total))
+		d.Telemetry.Tx(total)
+		d.Telemetry.TxBatch(len(batch))
 		bufs := net.Buffers(iov)
 		_, err := bufs.WriteTo(d.conn)
 		if d.Telemetry != nil {
@@ -461,9 +468,6 @@ func (d *Device) writer() {
 			d.teardown(err)
 			return
 		}
-		d.TxBytes.Add(uint64(total))
-		d.Telemetry.Tx(total)
-		d.Telemetry.TxBatch(len(batch))
 	}
 }
 

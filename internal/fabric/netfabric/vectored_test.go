@@ -22,11 +22,14 @@ func TestControlBurstInlinedAndCounted(t *testing.T) {
 	a.Telemetry = telemetry.NewFabricMetrics(nil)
 	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
-	qa, qb, _, cqB := boundQPs(t, a, b, la, lb, 0)
+	qa, qb, cqA, cqB := boundQPs(t, a, b, la, lb, 0)
 
 	const burst = 32
 	gotB := make(chan verbs.WC, burst)
 	cqB.SetHandler(func(wc verbs.WC) { gotB <- wc })
+	// The sender's own send completions are live, not flushes: without
+	// a handler the first one to be dispatched panics loop "a".
+	cqA.SetHandler(func(verbs.WC) {})
 
 	buf := make([]byte, 1<<20)
 	mr, _ := b.RegisterMR(&verbs.PD{}, buf, verbs.AccessLocalWrite)
@@ -82,10 +85,11 @@ func TestLargeSendBypassesInline(t *testing.T) {
 	a, b := pair(t)
 	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
-	qa, qb, _, cqB := boundQPs(t, a, b, la, lb, 0)
+	qa, qb, cqA, cqB := boundQPs(t, a, b, la, lb, 0)
 
 	got := make(chan verbs.WC, 1)
 	cqB.SetHandler(func(wc verbs.WC) { got <- wc })
+	cqA.SetHandler(func(verbs.WC) {}) // the send completion is live
 
 	buf := make([]byte, 64<<10)
 	mr, _ := b.RegisterMR(&verbs.PD{}, buf, verbs.AccessLocalWrite)

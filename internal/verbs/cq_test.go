@@ -81,3 +81,15 @@ func TestPlaceLocalBeyondShadowIsModeled(t *testing.T) {
 		t.Fatalf("shadow prefix wrong: %q", mr.Buf[8:16])
 	}
 }
+
+// A QP closed before its owner installed a handler flushes onto a
+// handler-less CQ: those completions are counted and dropped, while a
+// live one stays a wiring-bug panic (TestUpcallCQNoHandlerPanics).
+func TestUpcallCQNoHandlerDropsFlushed(t *testing.T) {
+	cq := NewUpcallCQ(&syncLoop{})
+	cq.Dispatch(0, WC{WRID: 1, Status: StatusFlushed})
+	cq.Dispatch(0, WC{WRID: 2, Status: StatusFlushed})
+	if n := cq.orphanFlushes.Load(); n != 2 {
+		t.Fatalf("orphanFlushes = %d, want 2", n)
+	}
+}
