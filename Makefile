@@ -2,21 +2,32 @@
 
 GO ?= go
 
-.PHONY: all build vet test race flake lint lint-json debugtest staticcheck vulncheck bench pullmode experiments cover loc check clean
+.PHONY: all build vet deps test race flake lint lint-json debugtest staticcheck vulncheck bench pullmode experiments cover loc check clean
 
 all: build vet test
 
-# check is the pre-merge gate: vet, the custom analyzer suite, a full
-# build, the whole test suite under the race detector (via race, so the
-# package list is defined once), and the external scanners when they
-# are installed.
-check: vet build race lint staticcheck vulncheck
+# check is the pre-merge gate: vet, the link-set gate, the custom
+# analyzer suite, a full build, the whole test suite under the race
+# detector (via race, so the package list is defined once), and the
+# external scanners when they are installed.
+check: vet deps build race lint staticcheck vulncheck
 
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite (lint fixtures under
+# testdata/ and the benchmark's build directory excepted).
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l . | grep -v -e /testdata/ -e '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# deps keeps the discrete-event simulator and the figure generators out
+# of the shipping binaries: the protocol core must not import them.
+deps:
+	@out=$$($(GO) list -deps ./cmd/rftp ./cmd/rftpd \
+		| grep -E '^rftp/internal/(sim|hostmodel|diskmodel|tcpmodel|gridftp|bench)$$'); \
+	if [ -n "$$out" ]; then echo "rftp/rftpd link simulator packages:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

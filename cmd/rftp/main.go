@@ -95,13 +95,8 @@ func main() {
 		cache = verbs.NewMRCache(dev, *mrCache)
 		ep.MRCache = cache
 	}
-	if err := dev.BindQP(ep.Ctrl, 0); err != nil {
-		log.Fatalf("rftp: bind: %v", err)
-	}
-	for i, qp := range ep.Data {
-		if err := dev.BindQP(qp, uint32(i+1)); err != nil {
-			log.Fatalf("rftp: bind data %d: %v", i, err)
-		}
+	if err := ep.Bind(dev.BindQP); err != nil {
+		log.Fatalf("rftp: %v", err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.BlockSize = blockSize

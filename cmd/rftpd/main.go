@@ -64,9 +64,6 @@ type serveOpts struct {
 	storeDepth  int
 	reactors    int
 	mrCache     int
-	creditBatch int
-	creditFlush time.Duration
-	creditWin   int
 	maxSessions int
 	sessQueue   int
 	weights     []int
@@ -89,9 +86,6 @@ func main() {
 	storeDepth := flag.Int("store-depth", 0, "file writes kept in flight against storage (0 = -depth)")
 	reactors := flag.Int("reactors", 1, "reactor shards driving the data channels, each on its own event loop (clamped to -channels)")
 	mrCache := flag.Int("mr-cache", 0, "per-connection pin-down cache capacity in memory regions: the sink pool draws registrations from the cache and releases them on close (0 = register directly)")
-	creditBatch := flag.Int("credit-batch", 0, "credits coalesced per grant message (0 = default, 1 = unbatched)")
-	creditFlush := flag.Duration("credit-flush", 0, "credit coalescer flush timer (0 = adaptive from the measured arrival gap)")
-	creditWin := flag.Int("credit-window", 0, "fixed credit window in blocks (0 = adaptive from measured RTT x delivery rate)")
 	maxSessions := flag.Int("max-sessions", 0, "concurrently active sessions admitted per connection (0 = unbounded)")
 	mode := flag.String("mode", "hybrid", "data paths served: push (refuse pull sessions), pull, or hybrid (accept either and follow the source's mode switches)")
 	sessQueue := flag.Int("session-queue", 0, "session requests queued for a slot when -max-sessions is reached; beyond this they are rejected busy")
@@ -135,9 +129,6 @@ func main() {
 		storeDepth:  *storeDepth,
 		reactors:    *reactors,
 		mrCache:     *mrCache,
-		creditBatch: *creditBatch,
-		creditFlush: *creditFlush,
-		creditWin:   *creditWin,
 		maxSessions: *maxSessions,
 		sessQueue:   *sessQueue,
 		weights:     weights,
@@ -226,25 +217,14 @@ func serve(dev *netfabric.Device, conn int, opts *serveOpts, served chan<- struc
 		cache = verbs.NewMRCache(dev, opts.mrCache)
 		ep.MRCache = cache
 	}
-	if err := dev.BindQP(ep.Ctrl, 0); err != nil {
-		log.Printf("rftpd: bind: %v", err)
+	if err := ep.Bind(dev.BindQP); err != nil {
+		log.Printf("rftpd: %v", err)
 		return
-	}
-	for i, qp := range ep.Data {
-		if err := dev.BindQP(qp, uint32(i+1)); err != nil {
-			log.Printf("rftpd: bind data %d: %v", i, err)
-			return
-		}
 	}
 	cfg := core.DefaultConfig()
 	cfg.Channels = channels
 	cfg.IODepth = depth
 	cfg.StoreDepth = opts.storeDepth
-	if opts.creditBatch > 0 {
-		cfg.CreditBatch = opts.creditBatch
-	}
-	cfg.CreditFlushInterval = opts.creditFlush
-	cfg.CreditWindow = opts.creditWin
 	cfg.MaxSessions = opts.maxSessions
 	cfg.SessionQueue = opts.sessQueue
 	cfg.TenantWeights = opts.weights

@@ -68,10 +68,7 @@ func main() {
 			serverDone <- err
 			return
 		}
-		check(dev.BindQP(ep.Ctrl, 0))
-		for i, qp := range ep.Data {
-			check(dev.BindQP(qp, uint32(i+1)))
-		}
+		check(ep.Bind(dev.BindQP))
 		sink, err := core.NewSink(ep, cfg)
 		if err != nil {
 			serverDone <- err
@@ -102,10 +99,7 @@ func main() {
 	defer loop.Stop()
 	ep, err := core.NewEndpoint(dev, loop, cfg.Channels, cfg.IODepth)
 	check(err)
-	check(dev.BindQP(ep.Ctrl, 0))
-	for i, qp := range ep.Data {
-		check(dev.BindQP(qp, uint32(i+1)))
-	}
+	check(ep.Bind(dev.BindQP))
 	source, err := core.NewSource(ep, cfg)
 	check(err)
 

@@ -43,10 +43,7 @@ func main() {
 	check(err)
 	dstEP, err := core.NewEndpoint(dstDev, dstLoop, cfg.Channels, cfg.IODepth)
 	check(err)
-	check(fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl))
-	for i := range srcEP.Data {
-		check(fab.ConnectQPs(srcEP.Data[i], dstEP.Data[i]))
-	}
+	check(srcEP.ConnectTo(dstEP, fab.ConnectQPs))
 
 	// 4. The sink: collects payload, reports when the session finishes.
 	sink, err := core.NewSink(dstEP, cfg)

@@ -5,7 +5,6 @@ import (
 
 	"rftp/internal/core"
 	"rftp/internal/fabric/simfabric"
-	"rftp/internal/hostmodel"
 	"rftp/internal/sim"
 	"rftp/internal/telemetry"
 	"rftp/internal/verbs"
@@ -40,71 +39,21 @@ func RunRFTPRepeated(tb Testbed, opt RFTPOptions, conns int) ([]RunResult, MRCac
 		opt.Seed = 1
 	}
 	sched := sim.New(opt.Seed)
-	fab := simfabric.New(sched)
-	srcHost := hostmodel.NewHost(sched, "src", tb.CoresTotal, tb.Host)
-	dstHost := hostmodel.NewHost(sched, "dst", tb.CoresTotal, tb.Host)
-	srcDev := fab.NewDevice("hca0", srcHost, tb.NIC)
-	dstDev := fab.NewDevice("hca1", dstHost, tb.NIC)
-	fab.Connect(srcDev, dstDev, tb.Link)
-
-	cfg := opt.Config
-	cfg.ModelPayload = true
-	cfg, err := cfg.Normalize()
+	p, err := newSimPair(simfabric.New(sched), nil, tb, "", opt)
 	if err != nil {
 		return nil, MRCacheReport{}, err
 	}
-	reactors := opt.Reactors
-	if reactors < 1 {
-		reactors = 1
-	}
-	if reactors > cfg.Channels {
-		reactors = cfg.Channels
-	}
-	srcLoops := []verbs.Loop{srcHost.NewThread("rftp-src")}
-	dstLoops := []verbs.Loop{dstHost.NewThread("rftp-sink")}
-	for i := 1; i < reactors; i++ {
-		srcLoops = append(srcLoops, srcHost.NewThread(fmt.Sprintf("rftp-src-shard%d", i)))
-		dstLoops = append(dstLoops, dstHost.NewThread(fmt.Sprintf("rftp-sink-shard%d", i)))
-	}
-	loader := srcHost.NewThread("loader")
-	storer := dstHost.NewThread("storer")
-
 	// Generous bound: each teardown parks one full pool per side.
-	srcCache := verbs.NewMRCache(srcDev, cfg.IODepth+cfg.SinkBlocks)
-	dstCache := verbs.NewMRCache(dstDev, cfg.IODepth+cfg.SinkBlocks)
+	p.srcCache = verbs.NewMRCache(p.srcDev, p.cfg.IODepth+p.cfg.SinkBlocks)
+	p.dstCache = verbs.NewMRCache(p.dstDev, p.cfg.IODepth+p.cfg.SinkBlocks)
 	if opt.Telemetry != nil {
-		telemetry.AttachMRCache(opt.Telemetry.Child("src_mrcache"), srcCache)
-		telemetry.AttachMRCache(opt.Telemetry.Child("dst_mrcache"), dstCache)
+		telemetry.AttachMRCache(opt.Telemetry.Child("src_mrcache"), p.srcCache)
+		telemetry.AttachMRCache(opt.Telemetry.Child("dst_mrcache"), p.dstCache)
 	}
 
 	var results []RunResult
 	for c := 0; c < conns; c++ {
-		srcEP, err := core.NewShardedEndpoint(srcDev, srcLoops, cfg.Channels, cfg.IODepth)
-		if err != nil {
-			return nil, MRCacheReport{}, err
-		}
-		dstEP, err := core.NewShardedEndpoint(dstDev, dstLoops, cfg.Channels, cfg.IODepth)
-		if err != nil {
-			return nil, MRCacheReport{}, err
-		}
-		srcEP.MRCache = srcCache
-		dstEP.MRCache = dstCache
-		if err := fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl); err != nil {
-			return nil, MRCacheReport{}, err
-		}
-		for i := range srcEP.Data {
-			if err := fab.ConnectQPs(srcEP.Data[i], dstEP.Data[i]); err != nil {
-				return nil, MRCacheReport{}, err
-			}
-		}
-		sink, err := core.NewSink(dstEP, cfg)
-		if err != nil {
-			return nil, MRCacheReport{}, err
-		}
-		sink.NewWriter = func(core.SessionInfo) core.BlockSink {
-			return &core.ModelSink{Storer: storer, NsPerByte: tb.Host.MemStoreNsPerByte}
-		}
-		source, err := core.NewSource(srcEP, cfg)
+		source, sink, err := p.connect()
 		if err != nil {
 			return nil, MRCacheReport{}, err
 		}
@@ -117,8 +66,7 @@ func RunRFTPRepeated(tb Testbed, opt RFTPOptions, conns int) ([]RunResult, MRCac
 				negoErr = err
 				return
 			}
-			src := &core.ModelSource{Total: opt.TotalBytes, Loader: loader, NsPerByte: tb.Host.MemLoadNsPerByte}
-			source.Transfer(src, opt.TotalBytes, func(r core.TransferResult) {
+			source.Transfer(p.memSource(opt.TotalBytes), opt.TotalBytes, func(r core.TransferResult) {
 				srcRes = r
 				srcDone = true
 			})
@@ -147,11 +95,11 @@ func RunRFTPRepeated(tb Testbed, opt RFTPOptions, conns int) ([]RunResult, MRCac
 		sched.RunAll()
 	}
 
-	sh, sm, se := srcCache.Stats()
-	dh, dm, de := dstCache.Stats()
+	sh, sm, se := p.srcCache.Stats()
+	dh, dm, de := p.dstCache.Stats()
 	rep := MRCacheReport{
 		Hits: sh + dh, Misses: sm + dm, Evictions: se + de,
-		Idle: srcCache.Idle() + dstCache.Idle(),
+		Idle: p.srcCache.Idle() + p.dstCache.Idle(),
 	}
 	if rep.Hits+rep.Misses > 0 {
 		rep.HitRate = float64(rep.Hits) / float64(rep.Hits+rep.Misses)

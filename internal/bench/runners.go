@@ -188,43 +188,14 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 		opt.Seed = 1
 	}
 	sched := sim.New(opt.Seed)
-	fab := simfabric.New(sched)
-	srcHost := hostmodel.NewHost(sched, "src", tb.CoresTotal, tb.Host)
-	dstHost := hostmodel.NewHost(sched, "dst", tb.CoresTotal, tb.Host)
-	srcDev := fab.NewDevice("hca0", srcHost, tb.NIC)
-	dstDev := fab.NewDevice("hca1", dstHost, tb.NIC)
-	fab.Connect(srcDev, dstDev, tb.Link)
-
-	srcLoop := srcHost.NewThread("rftp-src")
-	dstLoop := dstHost.NewThread("rftp-sink")
-	loader := srcHost.NewThread("loader")
-	storer := dstHost.NewThread("storer")
-	var loaders, storers []*hostmodel.Thread
-	for i := 1; i < opt.Loaders; i++ {
-		loaders = append(loaders, srcHost.NewThread(fmt.Sprintf("loader%d", i)))
-	}
-	if loaders != nil {
-		loaders = append([]*hostmodel.Thread{loader}, loaders...)
-	}
-	for i := 1; i < opt.Storers; i++ {
-		storers = append(storers, dstHost.NewThread(fmt.Sprintf("storer%d", i)))
-	}
-	if storers != nil {
-		storers = append([]*hostmodel.Thread{storer}, storers...)
-	}
-
 	cfg := opt.Config
-	cfg.ModelPayload = true
 	if cfg.LoadProbe == nil && cfg.TransferMode == core.ModeHybrid {
 		// The hybrid controller's CPU signal: the co-located job's share
 		// of the source host, as an OS load probe would report it.
 		busy := opt.SrcBusy
 		cfg.LoadProbe = func() float64 { return busy }
 	}
-	sessions := opt.Sessions
-	if sessions < 1 {
-		sessions = 1
-	}
+	sessions := max(opt.Sessions, 1)
 	if sessions > 1 {
 		if cfg.MaxSessions > 0 && cfg.MaxSessions < sessions {
 			cfg.MaxSessions = sessions
@@ -233,71 +204,25 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 			cfg.TenantWeights = opt.SessionWeights
 		}
 	}
-	cfg, err := cfg.Normalize()
+	opt.Config = cfg
+	p, err := newSimPair(simfabric.New(sched), nil, tb, "", opt)
 	if err != nil {
 		return RunResult{}, err
 	}
-	reactors := opt.Reactors
-	if reactors < 1 {
-		reactors = 1
-	}
-	if reactors > cfg.Channels {
-		reactors = cfg.Channels
-	}
-	srcLoops := []verbs.Loop{srcLoop}
-	dstLoops := []verbs.Loop{dstLoop}
-	for i := 1; i < reactors; i++ {
-		srcLoops = append(srcLoops, srcHost.NewThread(fmt.Sprintf("rftp-src-shard%d", i)))
-		dstLoops = append(dstLoops, dstHost.NewThread(fmt.Sprintf("rftp-sink-shard%d", i)))
-	}
-	// Both control rings are sized for the tenant count: the sink's
-	// absorbs the admission storm, the source's the SESSION_RESP /
-	// grant bursts coming back.
-	epSessions := sessions
-	if cap := cfg.MaxSessions + cfg.SessionQueue; cap > epSessions {
-		epSessions = cap
-	}
-	srcEP, err := core.NewServiceEndpoint(srcDev, srcLoops, cfg.Channels, cfg.IODepth, epSessions)
+	cfg = p.cfg
+	source, sink, err := p.connect()
 	if err != nil {
 		return RunResult{}, err
 	}
-	dstEP, err := core.NewServiceEndpoint(dstDev, dstLoops, cfg.Channels, cfg.IODepth, epSessions)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if err := fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl); err != nil {
-		return RunResult{}, err
-	}
-	for i := range srcEP.Data {
-		if err := fab.ConnectQPs(srcEP.Data[i], dstEP.Data[i]); err != nil {
-			return RunResult{}, err
-		}
-	}
-	sink, err := core.NewSink(dstEP, cfg)
-	if err != nil {
-		return RunResult{}, err
-	}
-	var arr *diskmodel.Array
 	if opt.Disk {
-		if opt.DiskCfg.RateBps == 0 {
-			opt.DiskCfg = diskmodel.DefaultArray()
-		}
-		arr = diskmodel.NewArray(sched, opt.DiskCfg)
+		arr := diskmodel.NewArray(sched, opt.DiskCfg)
 		sink.NewWriter = func(core.SessionInfo) core.BlockSink {
-			return diskSink{arr: arr, th: storer, mode: opt.DiskMode}
+			return diskSink{arr: arr, th: p.storer, mode: opt.DiskMode}
 		}
-	} else {
-		sink.NewWriter = func(core.SessionInfo) core.BlockSink {
-			return &core.ModelSink{Storer: storer, Storers: storers, NsPerByte: tb.Host.MemStoreNsPerByte}
-		}
-	}
-	source, err := core.NewSource(srcEP, cfg)
-	if err != nil {
-		return RunResult{}, err
 	}
 	if opt.Telemetry != nil {
-		srcDev.Telemetry = telemetry.NewFabricMetrics(opt.Telemetry.Child("src_fabric"))
-		dstDev.Telemetry = telemetry.NewFabricMetrics(opt.Telemetry.Child("dst_fabric"))
+		p.srcDev.Telemetry = telemetry.NewFabricMetrics(opt.Telemetry.Child("src_fabric"))
+		p.dstDev.Telemetry = telemetry.NewFabricMetrics(opt.Telemetry.Child("dst_fabric"))
 		source.AttachTelemetry(opt.Telemetry.Child("source"))
 		sink.AttachTelemetry(opt.Telemetry.Child("sink"))
 		if opt.SpanSample > 0 {
@@ -347,7 +272,7 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 		sink.OnSessionOpen = func(core.SessionInfo) {
 			admitted++
 			if admitted == sessions {
-				srcLoop.Post(0, func() {
+				p.srcLoops[0].Post(0, func() {
 					startAt = sched.Now()
 					gate.release()
 				})
@@ -368,7 +293,7 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 			if srcLeft == 0 && sinkLeft == 0 {
 				return
 			}
-			for _, l := range srcLoops {
+			for _, l := range p.srcLoops {
 				l.(*hostmodel.Thread).Post(busyCost, func() {})
 			}
 			sched.After(busyQuantum, busyTick)
@@ -376,7 +301,7 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 		sched.After(busyQuantum, busyTick)
 	}
 	var negoErr error
-	srcBusy0, dstBusy0 := srcHost.BusyTotal(), dstHost.BusyTotal()
+	srcBusy0, dstBusy0 := p.srcHost.BusyTotal(), p.dstHost.BusyTotal()
 	copied0 := verbs.CopiedBytes()
 	if sessions > 1 {
 		runtime.GC() // settle the heap so the per-tenant memory delta is retained growth
@@ -385,11 +310,7 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 	runtime.ReadMemStats(&ms0)
 	var srcArr *diskmodel.Array
 	if opt.SrcDisk {
-		acfg := opt.SrcDiskCfg
-		if acfg.RateBps == 0 {
-			acfg = diskmodel.DefaultArray()
-		}
-		srcArr = diskmodel.NewArray(sched, acfg)
+		srcArr = diskmodel.NewArray(sched, opt.SrcDiskCfg)
 	}
 	source.Start(func(err error) {
 		if err != nil {
@@ -401,9 +322,9 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 			i := i
 			var src core.BlockSource
 			if srcArr != nil {
-				src = &diskSource{arr: srcArr, th: loader, mode: opt.SrcDiskMode, total: perSess[i]}
+				src = &diskSource{arr: srcArr, th: p.loader, mode: opt.SrcDiskMode, total: perSess[i]}
 			} else {
-				src = &core.ModelSource{Total: perSess[i], Loader: loader, Loaders: loaders, NsPerByte: tb.Host.MemLoadNsPerByte}
+				src = p.memSource(perSess[i])
 			}
 			if gate != nil {
 				src = &gatedSource{inner: src, gate: gate}
@@ -443,7 +364,7 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 		Elapsed:       elapsed,
 		Stalls:        st.CreditStalls,
 		CtrlMsgs:      st.CtrlMsgs + sinkSt.CtrlMsgs,
-		RNR:           srcDev.RNRNaks + dstDev.RNRNaks,
+		RNR:           p.srcDev.RNRNaks + p.dstDev.RNRNaks,
 	}
 	if sinkSt.GrantMsgs > 0 {
 		res.GrantBatchMean = float64(sinkSt.CreditsGranted) / float64(sinkSt.GrantMsgs)
@@ -468,8 +389,8 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 		}
 	}
 	if elapsed > 0 {
-		res.ClientCPU = 100 * float64(srcHost.BusyTotal()-srcBusy0) / float64(elapsed)
-		res.ServerCPU = 100 * float64(dstHost.BusyTotal()-dstBusy0) / float64(elapsed)
+		res.ClientCPU = 100 * float64(p.srcHost.BusyTotal()-srcBusy0) / float64(elapsed)
+		res.ServerCPU = 100 * float64(p.dstHost.BusyTotal()-dstBusy0) / float64(elapsed)
 	}
 	if opt.Telemetry != nil && opt.SpanSample > 0 {
 		if cause, ns, share := spans.TopStall(opt.Telemetry.Snapshot()); ns > 0 {

@@ -5,7 +5,6 @@ import (
 
 	"rftp/internal/core"
 	"rftp/internal/fabric/simfabric"
-	"rftp/internal/hostmodel"
 	"rftp/internal/sim"
 )
 
@@ -46,50 +45,15 @@ func runScaleOut(n int, scale Scale) (float64, error) {
 	pairs := make([]*pairState, n)
 	var firstErr error
 	for i := 0; i < n; i++ {
-		srcHost := hostmodel.NewHost(sched, fmt.Sprintf("src%d", i), tb.CoresTotal, tb.Host)
-		dstHost := hostmodel.NewHost(sched, fmt.Sprintf("dst%d", i), tb.CoresTotal, tb.Host)
-		srcDev := fab.NewDevice(fmt.Sprintf("hca%d-a", i), srcHost, tb.NIC)
-		dstDev := fab.NewDevice(fmt.Sprintf("hca%d-b", i), dstHost, tb.NIC)
-		fab.ConnectVia(srcDev, dstDev, tb.Link, bb)
-
-		srcLoop := srcHost.NewThread("rftp-src")
-		dstLoop := dstHost.NewThread("rftp-sink")
-		loader := srcHost.NewThread("loader")
-		storer := dstHost.NewThread("storer")
-
 		cfg := core.DefaultConfig()
 		cfg.BlockSize = 4 << 20
 		cfg.IODepth = rftpDepthFor(tb, cfg.BlockSize)
 		cfg.SinkBlocks = 2 * cfg.IODepth
-		cfg.ModelPayload = true
-		cfg, err := cfg.Normalize()
+		p, err := newSimPair(fab, bb, tb, fmt.Sprint(i), RFTPOptions{Config: cfg})
 		if err != nil {
 			return 0, err
 		}
-		srcEP, err := core.NewEndpoint(srcDev, srcLoop, cfg.Channels, cfg.IODepth)
-		if err != nil {
-			return 0, err
-		}
-		dstEP, err := core.NewEndpoint(dstDev, dstLoop, cfg.Channels, cfg.IODepth)
-		if err != nil {
-			return 0, err
-		}
-		if err := fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl); err != nil {
-			return 0, err
-		}
-		for j := range srcEP.Data {
-			if err := fab.ConnectQPs(srcEP.Data[j], dstEP.Data[j]); err != nil {
-				return 0, err
-			}
-		}
-		sink, err := core.NewSink(dstEP, cfg)
-		if err != nil {
-			return 0, err
-		}
-		sink.NewWriter = func(core.SessionInfo) core.BlockSink {
-			return &core.ModelSink{Storer: storer, NsPerByte: tb.Host.MemStoreNsPerByte}
-		}
-		source, err := core.NewSource(srcEP, cfg)
+		source, _, err := p.connect()
 		if err != nil {
 			return 0, err
 		}
@@ -100,8 +64,7 @@ func runScaleOut(n int, scale Scale) (float64, error) {
 				firstErr = err
 				return
 			}
-			src := &core.ModelSource{Total: perPair, Loader: loader, NsPerByte: tb.Host.MemLoadNsPerByte}
-			source.Transfer(src, perPair, func(r core.TransferResult) {
+			source.Transfer(p.memSource(perPair), perPair, func(r core.TransferResult) {
 				if r.Err != nil && firstErr == nil {
 					firstErr = r.Err
 				}

@@ -40,57 +40,22 @@ func TimeSeries(tb Testbed, window, interval time.Duration, blockSize, streams i
 	// RFTP: a transfer large enough to outlast the window.
 	{
 		sched := sim.New(1)
-		fab := simfabric.New(sched)
-		srcHost := hostmodel.NewHost(sched, "src", tb.CoresTotal, tb.Host)
-		dstHost := hostmodel.NewHost(sched, "dst", tb.CoresTotal, tb.Host)
-		srcDev := fab.NewDevice("hca0", srcHost, tb.NIC)
-		dstDev := fab.NewDevice("hca1", dstHost, tb.NIC)
-		fab.Connect(srcDev, dstDev, tb.Link)
-		srcLoop := srcHost.NewThread("rftp-src")
-		dstLoop := dstHost.NewThread("rftp-sink")
-		loader := srcHost.NewThread("loader")
-		storer := dstHost.NewThread("storer")
-
 		cfg := core.DefaultConfig()
 		cfg.BlockSize = blockSize
 		cfg.Channels = streams
 		cfg.IODepth = rftpDepthFor(tb, blockSize)
 		cfg.SinkBlocks = 2 * cfg.IODepth
-		cfg.ModelPayload = true
-		cfg, err := cfg.Normalize()
+		p, err := newSimPair(simfabric.New(sched), nil, tb, "", RFTPOptions{Config: cfg})
 		if err != nil {
 			return nil, err
 		}
-		srcEP, err := core.NewEndpoint(srcDev, srcLoop, cfg.Channels, cfg.IODepth)
-		if err != nil {
-			return nil, err
-		}
-		dstEP, err := core.NewEndpoint(dstDev, dstLoop, cfg.Channels, cfg.IODepth)
-		if err != nil {
-			return nil, err
-		}
-		if err := fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl); err != nil {
-			return nil, err
-		}
-		for i := range srcEP.Data {
-			if err := fab.ConnectQPs(srcEP.Data[i], dstEP.Data[i]); err != nil {
-				return nil, err
-			}
-		}
-		sink, err := core.NewSink(dstEP, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sink.NewWriter = func(core.SessionInfo) core.BlockSink {
-			return &core.ModelSink{Storer: storer, NsPerByte: tb.Host.MemStoreNsPerByte}
-		}
-		source, err := core.NewSource(srcEP, cfg)
+		source, sink, err := p.connect()
 		if err != nil {
 			return nil, err
 		}
 		reg := telemetry.NewRegistry("rftp")
-		srcDev.Telemetry = telemetry.NewFabricMetrics(reg.Child("src_fabric"))
-		dstDev.Telemetry = telemetry.NewFabricMetrics(reg.Child("dst_fabric"))
+		p.srcDev.Telemetry = telemetry.NewFabricMetrics(reg.Child("src_fabric"))
+		p.dstDev.Telemetry = telemetry.NewFabricMetrics(reg.Child("dst_fabric"))
 		source.AttachTelemetry(reg.Child("source"))
 		sink.AttachTelemetry(reg.Child("sink"))
 		// Enough data to outlast the window at line rate.
@@ -99,8 +64,7 @@ func TimeSeries(tb Testbed, window, interval time.Duration, blockSize, streams i
 			if err != nil {
 				return
 			}
-			src := &core.ModelSource{Total: total, Loader: loader, NsPerByte: tb.Host.MemLoadNsPerByte}
-			source.Transfer(src, total, func(core.TransferResult) {})
+			source.Transfer(p.memSource(total), total, func(core.TransferResult) {})
 		})
 		sampler := metrics.NewRateSampler(interval)
 		var sample func()

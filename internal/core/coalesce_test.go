@@ -35,7 +35,7 @@ func TestSimGrantCoalescingBatchesFrees(t *testing.T) {
 		p.dstHost.NewThread("st2"), p.dstHost.NewThread("st3"),
 	}
 	p.sink.NewWriter = func(SessionInfo) BlockSink {
-		return &ModelSink{Storers: storers, PerBlock: 100 * time.Microsecond}
+		return &hostmodel.ModelSink{Storers: storers, PerBlock: 100 * time.Microsecond}
 	}
 	reg := telemetry.NewRegistry("sink")
 	p.sink.AttachTelemetry(reg)

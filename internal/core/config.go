@@ -164,12 +164,6 @@ type Config struct {
 	// sends immediately, the pre-coalescing behavior); 0 picks the
 	// default (16); values above wire.MaxCreditsPerMsg are clamped.
 	CreditBatch int
-	// CreditFlushInterval bounds how long a non-empty grant batch may
-	// wait before it is flushed. 0 picks an adaptive interval — the
-	// time a full batch takes to form at the measured block-arrival
-	// gap (batch size × gap), clamped to [200µs, 25ms] — so the timer
-	// scales from LAN to WAN without tuning.
-	CreditFlushInterval time.Duration
 	// CreditWindow overrides the sink's target for credits outstanding
 	// at the source. 0 sizes the window adaptively from measured
 	// delivery rate × credit round-trip (a BDP estimate) clamped to
@@ -266,9 +260,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.CreditBatch > wire.MaxCreditsPerMsg {
 		c.CreditBatch = wire.MaxCreditsPerMsg
-	}
-	if c.CreditFlushInterval < 0 {
-		c.CreditFlushInterval = 0
 	}
 	if c.CreditWindow < 0 {
 		c.CreditWindow = 0

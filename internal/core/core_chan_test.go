@@ -44,13 +44,8 @@ func newChanPipe(t *testing.T, shaping chanfabric.Shaping, cfg Config) *chanPipe
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl); err != nil {
+	if err := srcEP.ConnectTo(dstEP, fab.ConnectQPs); err != nil {
 		t.Fatal(err)
-	}
-	for i := range srcEP.Data {
-		if err := fab.ConnectQPs(srcEP.Data[i], dstEP.Data[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	p.sink, err = NewSink(dstEP, cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rftp/internal/fabric/chanfabric"
+	"rftp/internal/hostmodel"
 )
 
 func TestSimImmNotifyTransferCompletes(t *testing.T) {
@@ -85,7 +86,7 @@ func TestSimImmNotifyMultiSession(t *testing.T) {
 			return
 		}
 		for i := 0; i < 3; i++ {
-			src := &ModelSource{Total: 64 << 20, Loader: p.loader, NsPerByte: 0.16}
+			src := &hostmodel.ModelSource{Total: 64 << 20, Loader: p.loader, NsPerByte: 0.16}
 			p.source.Transfer(src, 64<<20, func(r TransferResult) { got[r.Session] = r })
 		}
 	})

@@ -62,13 +62,8 @@ func newSimPipe(t testing.TB, link simfabric.LinkConfig, cfg Config) *simPipe {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl); err != nil {
+	if err := srcEP.ConnectTo(dstEP, fab.ConnectQPs); err != nil {
 		t.Fatal(err)
-	}
-	for i := range srcEP.Data {
-		if err := fab.ConnectQPs(srcEP.Data[i], dstEP.Data[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	p.sink, err = NewSink(dstEP, cfg)
 	if err != nil {
@@ -94,7 +89,7 @@ func (p *simPipe) runTransfer(t testing.TB, total int64) (TransferResult, Transf
 			t.Errorf("negotiation: %v", err)
 			return
 		}
-		src := &ModelSource{Total: total, Loader: p.loader, NsPerByte: p.srcHost.Params.MemLoadNsPerByte}
+		src := &hostmodel.ModelSource{Total: total, Loader: p.loader, NsPerByte: p.srcHost.Params.MemLoadNsPerByte}
 		p.source.Transfer(src, total, func(r TransferResult) { srcRes, srcDone = r, true })
 	})
 	p.sched.RunAll()
@@ -283,7 +278,7 @@ func TestSimMultipleSequentialTransfers(t *testing.T) {
 			if i == 3 {
 				return
 			}
-			src := &ModelSource{Total: 32 << 20, Loader: p.loader, NsPerByte: 0.16}
+			src := &hostmodel.ModelSource{Total: 32 << 20, Loader: p.loader, NsPerByte: 0.16}
 			p.source.Transfer(src, 32<<20, func(r TransferResult) {
 				results = append(results, r)
 				next(i + 1)
@@ -314,7 +309,7 @@ func TestSimConcurrentSessions(t *testing.T) {
 			return
 		}
 		for i := 0; i < 3; i++ {
-			src := &ModelSource{Total: 64 << 20, Loader: p.loader, NsPerByte: 0.16}
+			src := &hostmodel.ModelSource{Total: 64 << 20, Loader: p.loader, NsPerByte: 0.16}
 			p.source.Transfer(src, 64<<20, func(r TransferResult) { got[r.Session] = r })
 		}
 	})
@@ -385,7 +380,7 @@ func TestSimStoreErrorAbortsSession(t *testing.T) {
 	var srcRes, sinkRes TransferResult
 	p.sink.OnSessionDone = func(info SessionInfo, r TransferResult) { sinkRes = r }
 	p.source.Start(func(err error) {
-		src := &ModelSource{Total: 64 << 20, Loader: p.loader, NsPerByte: 0.16}
+		src := &hostmodel.ModelSource{Total: 64 << 20, Loader: p.loader, NsPerByte: 0.16}
 		p.source.Transfer(src, 64<<20, func(r TransferResult) { srcRes = r })
 	})
 	p.sched.RunAll()

@@ -1,13 +1,41 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rftp/internal/fabric/chanfabric"
+	"rftp/internal/verbs"
 	"rftp/internal/wire"
 )
+
+// newCtrlPair wires two one-channel endpoints over chanfabric, each on
+// its own loop, with no Source or Sink: tests claim the control planes.
+func newCtrlPair(t *testing.T) (epA, epB *Endpoint, la, lb *chanfabric.Loop) {
+	t.Helper()
+	fab := chanfabric.New()
+	devA, devB := fab.NewDevice("a"), fab.NewDevice("b")
+	fab.Connect(devA, devB, chanfabric.Shaping{})
+	la, lb = chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	t.Cleanup(func() { la.Stop(); lb.Stop() })
+	epA, err := NewEndpoint(devA, la, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err = NewEndpoint(devB, lb, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(epA.Close)
+	t.Cleanup(epB.Close)
+	if err := epA.ConnectTo(epB, fab.ConnectQPs); err != nil {
+		t.Fatal(err)
+	}
+	return epA, epB, la, lb
+}
 
 // TestCtrlPlaneOrderBackPressureAndTeardown drives the shared control
 // plane directly, with recording owners instead of a Source and Sink:
@@ -17,23 +45,7 @@ import (
 // — neither the flushed receives nor sends still on the wire — may pop
 // a callback.
 func TestCtrlPlaneOrderBackPressureAndTeardown(t *testing.T) {
-	fab := chanfabric.New()
-	devA, devB := fab.NewDevice("a"), fab.NewDevice("b")
-	fab.Connect(devA, devB, chanfabric.Shaping{})
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
-	t.Cleanup(func() { la.Stop(); lb.Stop() })
-	epA, err := NewEndpoint(devA, la, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epB, err := NewEndpoint(devB, lb, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(epB.Close)
-	if err := fab.ConnectQPs(epA.Ctrl, epB.Ctrl); err != nil {
-		t.Fatal(err)
-	}
+	epA, epB, la, lb := newCtrlPair(t)
 	var closing atomic.Bool // A closing under B is B's peer failing, as it should
 	fail := func(err error) {
 		if !closing.Load() {
@@ -128,4 +140,53 @@ func TestCtrlPlaneOrderBackPressureAndTeardown(t *testing.T) {
 			t.Errorf("posted ring went %d -> %d after Close: a teardown completion was processed", posted, got)
 		}
 	})
+}
+
+// recvFailQP is a control QP whose receive queue dies: PostRecv fails
+// with ErrQPError from the failFrom-th call on, as it does once the
+// peer's close has errored the queue pair.
+type recvFailQP struct {
+	verbs.QP
+	calls, failFrom int
+}
+
+func (q *recvFailQP) PostRecv(wr *verbs.RecvWR) error {
+	q.calls++
+	if q.calls >= q.failFrom {
+		return verbs.ErrQPError
+	}
+	return q.QP.PostRecv(wr)
+}
+
+// TestCtrlPlaneHandlesBeforeRepost: a message already received must
+// reach its owner even when the queue pair errors before the buffer
+// can be reposted — the peer closing right after its last message
+// (DATASET_COMPLETE_ACK) is exactly that. The repost failure is still
+// reported, after the message.
+func TestCtrlPlaneHandlesBeforeRepost(t *testing.T) {
+	epA, epB, la, _ := newCtrlPair(t)
+	// The ring is pre-posted, so the first PostRecv from here on is the
+	// repost of the first message's buffer.
+	epB.Ctrl = &recvFailQP{QP: epB.Ctrl, failFrom: 1}
+	events := make(chan string, 2)
+	epB.ctrl.claim(
+		func(c *wire.Control) { events <- fmt.Sprintf("handle %d", c.Seq) },
+		func(err error) {
+			if !errors.Is(err, verbs.ErrQPError) {
+				t.Errorf("fail(%v), want the repost's ErrQPError", err)
+			}
+			events <- "fail"
+		})
+	epA.ctrl.claim(func(*wire.Control) {}, func(err error) { t.Errorf("sender failed: %v", err) })
+	la.Post(0, func() { epA.ctrl.send(&wire.Control{Type: wire.MsgDatasetCompleteAck, Seq: 7}, nil) })
+	for _, want := range []string{"handle 7", "fail"} {
+		select {
+		case got := <-events:
+			if got != want {
+				t.Fatalf("control plane did %q, want %q first: the message in hand was lost to the repost failure", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timeout waiting for %q", want)
+		}
+	}
 }

@@ -68,7 +68,7 @@ type Endpoint struct {
 // NewEndpoint creates a classic single-reactor endpoint: every QP
 // completes onto loop.
 func NewEndpoint(dev verbs.Device, loop verbs.Loop, channels, ioDepth int) (*Endpoint, error) {
-	return NewShardedEndpoint(dev, []verbs.Loop{loop}, channels, ioDepth)
+	return NewServiceEndpoint(dev, []verbs.Loop{loop}, channels, ioDepth, 1)
 }
 
 // ctrlMsgsPerSession is the control receive headroom reserved per
@@ -79,22 +79,14 @@ func NewEndpoint(dev verbs.Device, loop verbs.Loop, channels, ioDepth int) (*End
 // sized to the admission cap, not the block pool.
 const ctrlMsgsPerSession = 4
 
-// NewShardedEndpoint creates the QPs for one side: channels data QPs
+// NewServiceEndpoint creates the QPs for one side: channels data QPs
 // plus the control QP. loops[0] carries the control plane; the data
 // channels are distributed round-robin over min(len(loops), channels)
 // reactor shards, each with its own completion queue on its own loop.
 // ioDepth sizes the queues: the control receive queue must absorb one
-// message per in-flight block plus negotiation traffic. The control
-// ring is sized for a single tenant; a multi-session service endpoint
-// must use NewServiceEndpoint so the ring scales with the admission
-// cap.
-func NewShardedEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth int) (*Endpoint, error) {
-	return NewServiceEndpoint(dev, loops, channels, ioDepth, 1)
-}
-
-// NewServiceEndpoint creates a sharded endpoint whose control receive
-// ring is additionally sized for sessions concurrent tenants (admitted
-// plus queued). Below 256 tenants the single-session floor already
+// message per in-flight block plus negotiation traffic, and is
+// additionally sized for sessions concurrent tenants (admitted plus
+// queued). Below 256 tenants the single-session floor already
 // covers the burst; above it an unsized ring takes receiver-not-ready
 // retries on the admission storm (every tenant's SESSION_REQ, and later
 // each one's MR_INFO_REQUEST / DATASET_COMPLETE, can arrive back to
@@ -186,7 +178,7 @@ func unclaimedDataWC(wc verbs.WC) {
 
 // ctrlPlane is the control-message loop both sides of the protocol run
 // over the control QP: encode → queue → post → send completion, and
-// receive → decode → repost → hand to the owner. Source and Sink differ
+// receive → decode → hand to the owner → repost. Source and Sink differ
 // only in what handle does with a decoded message.
 type ctrlPlane struct {
 	ep *Endpoint
@@ -294,11 +286,44 @@ func (cp *ctrlPlane) onWC(wc verbs.WC) {
 		o.fail(fmt.Errorf("core: bad control message: %w", err))
 		return
 	}
-	if err := cp.ep.repostCtrlRecv(wc.WRID); err != nil {
-		o.fail(fmt.Errorf("core: reposting control recv: %w", err))
-		return
-	}
+	// Handle, then repost: a message in hand outlives the QP it arrived
+	// on. The peer may close right after its last message (the sink
+	// after DATASET_COMPLETE_ACK), erroring this QP before the repost.
 	o.handle(c)
+	if err := cp.ep.repostCtrlRecv(wc.WRID); err != nil && err != ErrClosed {
+		o.fail(fmt.Errorf("core: reposting control recv: %w", err))
+	}
+}
+
+// channelQPs lists the endpoint's queue pairs by wire channel number:
+// the control QP is channel 0, data QP i is channel i+1.
+func (ep *Endpoint) channelQPs() []verbs.QP {
+	return append([]verbs.QP{ep.Ctrl}, ep.Data...)
+}
+
+// Bind attaches every queue pair to its channel of a connection-scoped
+// device: bind is the device's call (netfabric's Device.BindQP). Both
+// ends number channels the same way, so two endpoints bound to the two
+// ends of one connection are paired.
+func (ep *Endpoint) Bind(bind func(q verbs.QP, channel uint32) error) error {
+	for ch, qp := range ep.channelQPs() {
+		if err := bind(qp, uint32(ch)); err != nil {
+			return fmt.Errorf("core: wiring channel %d: %w", ch, err)
+		}
+	}
+	return nil
+}
+
+// ConnectTo pairs the endpoint's queue pairs with peer's, channel by
+// channel, on an in-process fabric: connect is the fabric's call
+// (chanfabric's or simfabric's Fabric.ConnectQPs). Endpoints with
+// different channel counts are refused before anything is connected.
+func (ep *Endpoint) ConnectTo(peer *Endpoint, connect func(a, b verbs.QP) error) error {
+	if len(ep.Data) != len(peer.Data) {
+		return fmt.Errorf("core: connecting %d data channels to %d", len(ep.Data), len(peer.Data))
+	}
+	theirs := peer.channelQPs()
+	return ep.Bind(func(q verbs.QP, ch uint32) error { return connect(q, theirs[ch]) })
 }
 
 // shardIndex maps a data channel to the reactor shard that owns it.

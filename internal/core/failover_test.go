@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rftp/internal/fabric/simfabric"
+	"rftp/internal/hostmodel"
 	"rftp/internal/verbs"
 )
 
@@ -40,7 +41,7 @@ func TestChannelFailoverMidTransfer(t *testing.T) {
 			t.Errorf("nego: %v", err)
 			return
 		}
-		src := &ModelSource{Total: total, Loader: p.loader, NsPerByte: 0.16}
+		src := &hostmodel.ModelSource{Total: total, Loader: p.loader, NsPerByte: 0.16}
 		p.source.Transfer(src, total, func(r TransferResult) { srcRes, srcDone = r, true })
 	})
 	p.sched.RunAll()
@@ -86,7 +87,7 @@ func TestAllChannelsDeadFailsTransfer(t *testing.T) {
 			t.Errorf("nego: %v", err)
 			return
 		}
-		src := &ModelSource{Total: 512 << 20, Loader: p.loader, NsPerByte: 0.16}
+		src := &hostmodel.ModelSource{Total: 512 << 20, Loader: p.loader, NsPerByte: 0.16}
 		p.source.Transfer(src, 512<<20, func(r TransferResult) { srcRes, done = r, true })
 	})
 	p.sched.RunAll()
@@ -130,7 +131,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 		if err != nil {
 			return
 		}
-		src := &ModelSource{Total: 64 << 20, Loader: p.loader, NsPerByte: 0.16}
+		src := &hostmodel.ModelSource{Total: 64 << 20, Loader: p.loader, NsPerByte: 0.16}
 		p.source.Transfer(src, 64<<20, func(r TransferResult) { srcRes, done = r, true })
 	})
 	// Bounded run: the sabotage loop reschedules forever.
@@ -153,7 +154,7 @@ func TestFlushedCompletionsIgnoredAfterClose(t *testing.T) {
 		if err != nil {
 			return
 		}
-		src := &ModelSource{Total: 1 << 30, Loader: p.loader, NsPerByte: 0.16}
+		src := &hostmodel.ModelSource{Total: 1 << 30, Loader: p.loader, NsPerByte: 0.16}
 		p.source.Transfer(src, 1<<30, func(TransferResult) {})
 	})
 	// Close while blocks are in flight on the long-latency link.

@@ -102,11 +102,18 @@ func TestWriterSinkPropagatesErrors(t *testing.T) {
 	})
 }
 
+// The modeled source and sink live in hostmodel, which cannot import
+// core; that they satisfy core's storage contracts is checked here.
+var (
+	_ BlockSourceAt = (*hostmodel.ModelSource)(nil)
+	_ OffsetSink    = (*hostmodel.ModelSink)(nil)
+)
+
 func TestModelSourceProducesExactTotal(t *testing.T) {
 	s := sim.New(1)
 	h := hostmodel.NewHost(s, "h", 4, hostmodel.DefaultParams())
 	loader := h.NewThread("loader")
-	src := &ModelSource{Total: 250, Loader: loader, NsPerByte: 1}
+	src := &hostmodel.ModelSource{Total: 250, Loader: loader, NsPerByte: 1}
 	var produced int
 	var lastEOF bool
 	for i := 0; i < 3; i++ {
@@ -132,7 +139,7 @@ func TestModelSinkChargesStorer(t *testing.T) {
 	s := sim.New(1)
 	h := hostmodel.NewHost(s, "h", 4, hostmodel.DefaultParams())
 	storer := h.NewThread("storer")
-	sink := &ModelSink{Storer: storer, NsPerByte: 2, PerBlock: 10 * time.Nanosecond}
+	sink := &hostmodel.ModelSink{Storer: storer, NsPerByte: 2, PerBlock: 10 * time.Nanosecond}
 	done := 0
 	sink.Store(wire.BlockHeader{}, nil, 100, func(err error) { done++ })
 	sink.Store(wire.BlockHeader{}, nil, 50, func(err error) { done++ })

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"rftp/internal/fabric/chanfabric"
 )
@@ -27,7 +26,6 @@ func TestRandomConfigIntegrityProperty(t *testing.T) {
 		cfg.GrantPerConsume = 1 + rng.Intn(4)
 		cfg.NotifyViaImm = rng.Intn(2) == 1
 		cfg.CreditBatch = 1 + rng.Intn(64)
-		cfg.CreditFlushInterval = time.Duration(rng.Intn(2000)) * time.Microsecond
 		cfg.CreditWindow = rng.Intn(2) * (1 + rng.Intn(cfg.SinkBlocks))
 		if rng.Intn(4) == 0 {
 			cfg.CreditPolicy = CreditOnDemand
@@ -64,7 +62,6 @@ func TestRandomSimConfigsComplete(t *testing.T) {
 		cfg.IODepth = 1 + rng.Intn(64)
 		cfg.NotifyViaImm = rng.Intn(2) == 1
 		cfg.CreditBatch = 1 + rng.Intn(64)
-		cfg.CreditFlushInterval = time.Duration(rng.Intn(5000)) * time.Microsecond
 		if rng.Intn(2) == 1 {
 			cfg.CreditWindow = 1 + rng.Intn(2*cfg.IODepth)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rftp/internal/hostmodel"
 	"rftp/internal/trace"
 	"rftp/internal/verbs"
 	"rftp/internal/wire"
@@ -27,7 +28,7 @@ func sinkRig(t *testing.T) (*simPipe, *sinkSession) {
 			return
 		}
 		// Open a session but never send data: the sink state is live.
-		src := &ModelSource{Total: 1 << 30, Loader: p.loader, NsPerByte: 0}
+		src := &hostmodel.ModelSource{Total: 1 << 30, Loader: p.loader, NsPerByte: 0}
 		p.source.Transfer(src, 1<<30, func(TransferResult) {})
 	})
 	// Run enough for negotiation + session establishment + some data.
@@ -206,7 +207,7 @@ func TestSourceTransferAfterCloseFails(t *testing.T) {
 	p := newSimPipe(t, lanLink(), cfg)
 	p.source.Close()
 	var got error
-	p.source.Transfer(&ModelSource{Total: 1, Loader: p.loader}, 1,
+	p.source.Transfer(&hostmodel.ModelSource{Total: 1, Loader: p.loader}, 1,
 		func(r TransferResult) { got = r.Err })
 	if !errors.Is(got, ErrClosed) {
 		t.Fatalf("transfer after close: %v", got)

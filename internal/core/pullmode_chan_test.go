@@ -177,13 +177,8 @@ func TestChanPushOnlySinkRefusesPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl); err != nil {
+	if err := srcEP.ConnectTo(dstEP, fab.ConnectQPs); err != nil {
 		t.Fatal(err)
-	}
-	for i := range srcEP.Data {
-		if err := fab.ConnectQPs(srcEP.Data[i], dstEP.Data[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	sink, err := NewSink(dstEP, sinkCfg)
 	if err != nil {

@@ -45,23 +45,18 @@ func newShardedChanPipe2(t *testing.T, fab *chanfabric.Fabric, srcDev, dstDev *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcEP, err := NewShardedEndpoint(srcDev, srcLoops, ncfg.Channels, ncfg.IODepth)
+	srcEP, err := NewServiceEndpoint(srcDev, srcLoops, ncfg.Channels, ncfg.IODepth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstEP, err := NewShardedEndpoint(dstDev, dstLoops, ncfg.Channels, ncfg.IODepth)
+	dstEP, err := NewServiceEndpoint(dstDev, dstLoops, ncfg.Channels, ncfg.IODepth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srcEP.MRCache = srcCache
 	dstEP.MRCache = dstCache
-	if err := fab.ConnectQPs(srcEP.Ctrl, dstEP.Ctrl); err != nil {
+	if err := srcEP.ConnectTo(dstEP, fab.ConnectQPs); err != nil {
 		t.Fatal(err)
-	}
-	for i := range srcEP.Data {
-		if err := fab.ConnectQPs(srcEP.Data[i], dstEP.Data[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	p.sink, err = NewSink(dstEP, cfg)
 	if err != nil {

@@ -625,11 +625,7 @@ func (k *Sink) flushTimerFired() {
 // form at the measured delivery rate (batch × mean inter-arrival gap —
 // waiting longer than that cannot grow the batch further), clamped so
 // the LAN still flushes promptly and the WAN timer does not balloon.
-// Config.CreditFlushInterval overrides.
 func (k *Sink) flushInterval() time.Duration {
-	if k.cfg.CreditFlushInterval > 0 {
-		return k.cfg.CreditFlushInterval
-	}
 	d := time.Duration(k.batchSize(k.targetWindow())) * k.win.gap
 	if d < 200*time.Microsecond {
 		d = 200 * time.Microsecond

@@ -75,9 +75,9 @@ func TestConcurrentConnections(t *testing.T) {
 				}
 				// Bind only after the sink's callbacks are installed:
 				// parked frames replay the moment channel 0 binds.
-				dev.BindQP(ep.Ctrl, 0)
-				for j, qp := range ep.Data {
-					dev.BindQP(qp, uint32(j+1))
+				if err := ep.Bind(dev.BindQP); err != nil {
+					t.Errorf("bind: %v", err)
+					return
 				}
 				select {
 				case <-done:
@@ -110,9 +110,9 @@ func TestConcurrentConnections(t *testing.T) {
 				t.Errorf("endpoint: %v", err)
 				return
 			}
-			dev.BindQP(ep.Ctrl, 0)
-			for j, qp := range ep.Data {
-				dev.BindQP(qp, uint32(j+1))
+			if err := ep.Bind(dev.BindQP); err != nil {
+				t.Errorf("bind: %v", err)
+				return
 			}
 			source, err := core.NewSource(ep, cfg)
 			if err != nil {

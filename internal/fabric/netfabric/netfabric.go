@@ -4,8 +4,8 @@
 //
 // One TCP connection joins two Devices. All queue pairs are multiplexed
 // over it as framed messages keyed by a channel id that both sides bind
-// with BindQP (channel 0 is conventionally the control QP, 1..n the data
-// QPs). One-sided WRITE frames carry (addr, rkey) and are validated
+// with BindQP (the numbering belongs to the caller: core's
+// Endpoint.Bind). One-sided WRITE frames carry (addr, rkey) and are validated
 // against the receiving device's registered regions exactly like the
 // other fabrics; SENDs consume posted receives; READs round-trip a
 // request/response pair. Every data-bearing frame is acknowledged so

@@ -264,20 +264,11 @@ func TestRFTPOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Channel convention: 0 = control, 1..n = data.
-	if err := client.BindQP(srcEP.Ctrl, 0); err != nil {
+	if err := srcEP.Bind(client.BindQP); err != nil {
 		t.Fatal(err)
 	}
-	if err := server.BindQP(dstEP.Ctrl, 0); err != nil {
+	if err := dstEP.Bind(server.BindQP); err != nil {
 		t.Fatal(err)
-	}
-	for i := range srcEP.Data {
-		if err := client.BindQP(srcEP.Data[i], uint32(i+1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := server.BindQP(dstEP.Data[i], uint32(i+1)); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	sink, err := core.NewSink(dstEP, cfg)

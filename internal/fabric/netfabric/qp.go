@@ -62,8 +62,8 @@ func (d *Device) CreateQP(cfg verbs.QPConfig) (verbs.QP, error) {
 }
 
 // BindQP attaches a QP to a channel id. Both peers must bind matching
-// channel ids (0 = control, 1..n = data, by convention). Frames that
-// arrived early are replayed.
+// channel ids (core's Endpoint.Bind numbers them). Frames that arrived
+// early are replayed.
 func (d *Device) BindQP(q verbs.QP, channel uint32) error {
 	qp, ok := q.(*QP)
 	if !ok || qp.dev != d {

@@ -12,6 +12,10 @@
 // cores and the applications use far fewer threads), so cross-thread
 // contention is not modeled. Utilization is reported the way the paper
 // reports it: percent of one core, so a 12-core host can reach 1200%.
+//
+// ModelSource and ModelSink are the protocol's block source and sink at
+// simulation scale: they move no bytes and charge loader and storer
+// Threads for them instead.
 package hostmodel
 
 import (

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"rftp/internal/core"
-	"rftp/internal/wire"
-)
+import "rftp/internal/core"
 
 // AsyncSource moves any BlockSource's Load off the protocol loop onto
 // an Engine worker. Use it around synchronous sources (core.ReaderSource
@@ -23,33 +20,4 @@ func NewAsyncSource(inner core.BlockSource, eng *Engine) *AsyncSource {
 // Load implements core.BlockSource.
 func (a *AsyncSource) Load(p []byte, capacity int, done func(int, bool, error)) {
 	a.Eng.submit(func() { a.Inner.Load(p, capacity, done) })
-}
-
-// AsyncSink moves any BlockSink's Store off the protocol loop onto an
-// Engine worker. Stream sinks (core.WriterSink) need a single-worker
-// engine: the protocol issues their stores in sequence order, but a
-// multi-worker engine could execute two issued stores out of order.
-type AsyncSink struct {
-	Inner core.BlockSink
-	Eng   *Engine
-}
-
-// NewAsyncSink wraps inner on eng.
-func NewAsyncSink(inner core.BlockSink, eng *Engine) *AsyncSink {
-	return &AsyncSink{Inner: inner, Eng: eng}
-}
-
-// Store implements core.BlockSink.
-func (a *AsyncSink) Store(hdr wire.BlockHeader, payload []byte, modelLen int, done func(error)) {
-	a.Eng.submit(func() { a.Inner.Store(hdr, payload, modelLen, done) })
-}
-
-// OffsetStores implements core.OffsetSink by delegation: the fast path
-// is only safe when the wrapped sink is itself offset-addressed AND the
-// engine may run stores concurrently.
-func (a *AsyncSink) OffsetStores() bool {
-	if os, ok := a.Inner.(core.OffsetSink); ok {
-		return os.OffsetStores()
-	}
-	return false
 }

@@ -16,9 +16,8 @@
 //     FileSource implements core.BlockSourceAt, so the protocol keeps
 //     LoadDepth reads in flight; FileSink implements core.OffsetSink,
 //     so arriving blocks are written by offset with no reassembly wait.
-//   - AsyncSource / AsyncSink: wrap any synchronous core.BlockSource /
-//     core.BlockSink so its Load/Store runs on a worker instead of the
-//     protocol loop.
+//   - AsyncSource: wraps any synchronous core.BlockSource so its Load
+//     runs on a worker instead of the protocol loop.
 //
 // Engines carry optional core.IOMetrics instrumentation: queue wait
 // (submit → worker pickup) versus device time (the operation itself),

@@ -168,9 +168,8 @@ func TestFileRoundTripConcurrent(t *testing.T) {
 	}
 }
 
-// TestAsyncWrappers checks that AsyncSource/AsyncSink preserve the
-// wrapped behavior while running it off the caller's goroutine, and
-// that OffsetStores delegates.
+// TestAsyncWrappers checks that AsyncSource preserves the wrapped
+// behavior while running it off the caller's goroutine.
 func TestAsyncWrappers(t *testing.T) {
 	data := []byte("hello, storage pipeline")
 	eng := NewEngine(1)
@@ -198,27 +197,5 @@ func TestAsyncWrappers(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("AsyncSource read %q, want %q", got, data)
-	}
-
-	var buf bytes.Buffer
-	sink := NewAsyncSink(core.WriterSink{W: &buf}, eng)
-	if sink.OffsetStores() {
-		t.Fatal("AsyncSink over WriterSink must not claim offset stores")
-	}
-	ch := make(chan struct{})
-	sink.Store(wire.BlockHeader{PayloadLen: uint32(len(data))}, data, len(data), func(err error) {
-		if err != nil {
-			t.Errorf("Store: %v", err)
-		}
-		close(ch)
-	})
-	<-ch
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatalf("AsyncSink wrote %q, want %q", buf.Bytes(), data)
-	}
-
-	offSink := NewAsyncSink(&FileSink{}, eng)
-	if !offSink.OffsetStores() {
-		t.Fatal("AsyncSink over FileSink must delegate OffsetStores=true")
 	}
 }

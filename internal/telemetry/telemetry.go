@@ -287,18 +287,6 @@ func DurationBuckets() []int64 {
 	return append(out, int64(10*time.Second))
 }
 
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width int64, n int) []int64 {
-	if n <= 0 || width <= 0 {
-		panic("telemetry: linear buckets need n > 0 and width > 0")
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = start + int64(i)*width
-	}
-	return out
-}
-
 // ExpBuckets returns n ascending bounds start, start*factor, ...
 func ExpBuckets(start int64, factor float64, n int) []int64 {
 	if n <= 0 || start <= 0 || factor <= 1 {

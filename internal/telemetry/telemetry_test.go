@@ -170,7 +170,7 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	for _, bounds := range [][]int64{DurationBuckets(), LinearBuckets(0, 5, 8), ExpBuckets(1, 1.3, 30)} {
+	for _, bounds := range [][]int64{DurationBuckets(), ExpBuckets(1, 1.3, 30)} {
 		if len(bounds) == 0 {
 			t.Fatal("empty bounds")
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 )
 
 // WriteJSONL writes events as newline-delimited JSON, one event per
@@ -44,63 +43,4 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		return out, err
 	}
 	return out, nil
-}
-
-// chromeEvent is one entry in the Chrome trace_event JSON format
-// (chrome://tracing, Perfetto). Events are emitted as instant events
-// ("ph":"i") with thread scope, one tid per category so the viewer
-// lays categories out as parallel tracks.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"` // microseconds
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace writes events in the Chrome trace_event format
-// ({"traceEvents":[...]}), loadable in chrome://tracing or Perfetto.
-// pid labels the process (use 0 for a single endpoint; client/server
-// dumps can use distinct pids and be concatenated by a viewer).
-func WriteChromeTrace(w io.Writer, events []Event, pid int) error {
-	out := struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: make([]chromeEvent, 0, len(events))}
-	for _, e := range events {
-		ce := chromeEvent{
-			Name:  e.Name,
-			Cat:   e.Cat.String(),
-			Phase: "i",
-			TS:    float64(e.At) / float64(time.Microsecond),
-			PID:   pid,
-			TID:   int(e.Cat),
-			Scope: "t",
-		}
-		args := map[string]any{"seq": e.Seq}
-		if e.Session != 0 {
-			args["session"] = e.Session
-		}
-		if e.Block != 0 {
-			args["block"] = e.Block
-		}
-		if e.Channel != 0 {
-			args["channel"] = e.Channel
-		}
-		if e.V1 != 0 {
-			args["v1"] = e.V1
-		}
-		if e.V2 != 0 {
-			args["v2"] = e.V2
-		}
-		if e.Text != "" {
-			args["text"] = e.Text
-		}
-		ce.Args = args
-		out.TraceEvents = append(out.TraceEvents, ce)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
 }

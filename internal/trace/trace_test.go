@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -235,43 +234,6 @@ func TestReadJSONLTolerance(t *testing.T) {
 	}
 	if _, err := ReadJSONL(strings.NewReader("{broken\n")); err == nil {
 		t.Fatal("malformed line accepted")
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	r := NewRing(8, fixedClock())
-	r.Emit(Event{Cat: CatNego, Name: "nego_start"})
-	r.Emit(Event{Cat: CatBlock, Name: "posted", Session: 1, Block: 2, Channel: 0, V1: 4096})
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r.Events(), 7); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(doc.TraceEvents) != 2 {
-		t.Fatalf("traceEvents = %d", len(doc.TraceEvents))
-	}
-	first := doc.TraceEvents[0]
-	if first["ph"] != "i" || first["s"] != "t" {
-		t.Fatalf("not an instant event: %v", first)
-	}
-	if first["ts"].(float64) != 1000 { // 1ms = 1000µs
-		t.Fatalf("ts = %v, want 1000", first["ts"])
-	}
-	if first["pid"].(float64) != 7 {
-		t.Fatalf("pid = %v", first["pid"])
-	}
-	second := doc.TraceEvents[1]
-	if second["cat"] != "block" || second["name"] != "posted" {
-		t.Fatalf("second event: %v", second)
-	}
-	args := second["args"].(map[string]any)
-	if args["block"].(float64) != 2 || args["v1"].(float64) != 4096 {
-		t.Fatalf("args: %v", args)
 	}
 }
 

@@ -49,9 +49,9 @@ type tree struct {
 	ioInflight   int64 // storage engine io_inflight
 	blocks       int64 // blocks_inflight
 	spansDone    int64
-	sessActive   int64 // sessions_active (session-manager occupancy)
-	sessQueued   int64 // sessions_queued
-	sessRejected int64 // sessions_rejected
+	sessActive   int64            // sessions_active (session-manager occupancy)
+	sessQueued   int64            // sessions_queued
+	sessRejected int64            // sessions_rejected
 	pathNs       map[string]int64 // stage -> cumulative ns on the critical path
 }
 
