@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet deps test race flake lint lint-json debugtest staticcheck vulncheck bench pullmode experiments cover loc check clean
+.PHONY: all build vet deps test race flake lint lint-json debugtest staticcheck vulncheck golden golden-update pullmode experiments cover loc check clean
 
 all: build vet test
 
@@ -44,10 +44,11 @@ flake:
 	$(GO) test -race -count=20 ./internal/verbs ./internal/fabric/... ./internal/core
 
 # lint runs RFTP's own static-analysis passes (fsmtransition,
-# bufownership, lockorder, the flow-sensitive blockleak/msgexhaustive/
-# fsmlive trio, ... — see internal/analysis). Any finding fails the
-# build, as does a stale //lint:allow whose pass matched nothing;
-# suppress real exceptions with //lint:allow <pass> <why>.
+# bufownership, loopconfine and the flow-sensitive blockleak/
+# msgexhaustive/fsmlive trio — see internal/analysis). Any finding
+# fails the build, as does a stale //lint:allow (its pass matched
+# nothing, or it names no pass); suppress real exceptions with
+# //lint:allow <pass> <why>.
 lint:
 	$(GO) run ./cmd/rftplint -strict-allows ./...
 
@@ -79,11 +80,26 @@ vulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# bench is a does-it-still-run smoke over the go-test benchmarks, one
-# iteration each. The tracked performance ledger is benchmark/run.sh
-# (see benchmark/README.md; `-compare A.jsonl B.jsonl` diffs two runs).
-bench:
-	$(GO) test -bench . -benchmem -benchtime 1x . ./internal/fabric/netfabric
+# golden diffs every model output of the simulated testbeds (a small
+# -scale run of every experiment, ~2 minutes) against
+# testdata/experiments.golden, so a refactor that moves a model number
+# fails here. The allocs/op and mem/sess columns measure the Go heap,
+# not the model, and vary run to run: golden-mask blanks them, cutting
+# at each table's own header offsets so a wider value cannot shift the
+# columns after it (µ becomes u first, keeping offsets in bytes). A PR
+# that changes a model output on purpose runs golden-update and commits
+# the diff.
+GOLDEN_RUN = $(GO) run ./cmd/experiments -scale 0.03 all
+define golden-mask
+sed 's/µ/u/g' | awk '/^figure /{ a = index($$0, "allocs/op"); c = index($$0, "copied/op"); m = index($$0, "mem/sess"); s = index($$0, "top-stall") } /^(==|$$)/{ a = 0 } a { $$0 = substr($$0, 1, a - 1) "#  " substr($$0, c, m - c) "#  " substr($$0, s) } { print }'
+endef
+
+golden:
+	@out=$$($(GOLDEN_RUN)) && printf '%s\n' "$$out" | $(golden-mask) | diff -u testdata/experiments.golden - \
+		&& echo "golden: model outputs unchanged"
+
+golden-update:
+	@out=$$($(GOLDEN_RUN)) && printf '%s\n' "$$out" | $(golden-mask) > testdata/experiments.golden
 
 # pullmode runs the pull-mode shape regression (pull >= push at a
 # saturated source, hybrid within 5% of the best fixed mode) and

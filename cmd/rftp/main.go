@@ -95,6 +95,14 @@ func main() {
 		cache = verbs.NewMRCache(dev, *mrCache)
 		ep.MRCache = cache
 	}
+	// Telemetry: fabric WR/byte counters go on the device before Bind
+	// starts its I/O goroutines; source protocol metrics attach below,
+	// before negotiation, so nothing is missed.
+	var reg *telemetry.Registry
+	if *doStats || *statsEvery > 0 || *httpAddr != "" || *spanOut != "" {
+		reg = telemetry.NewRegistry("rftp")
+		dev.Telemetry = telemetry.NewFabricMetrics(reg.Child("fabric"))
+	}
 	if err := ep.Bind(dev.BindQP); err != nil {
 		log.Fatalf("rftp: %v", err)
 	}
@@ -126,12 +134,7 @@ func main() {
 	eng := storage.NewEngine(workers)
 	defer eng.Close()
 
-	// Telemetry: source protocol metrics plus fabric WR/byte counters,
-	// attached before negotiation so nothing is missed.
-	var reg *telemetry.Registry
-	if *doStats || *statsEvery > 0 || *httpAddr != "" || *spanOut != "" {
-		reg = telemetry.NewRegistry("rftp")
-		dev.Telemetry = telemetry.NewFabricMetrics(reg.Child("fabric"))
+	if reg != nil {
 		source.AttachTelemetry(reg)
 		source.AttachSpans(reg, *spanSample)
 		eng.SetMetrics(core.NewIOMetrics(reg.Child("storage")))

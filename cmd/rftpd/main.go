@@ -217,6 +217,14 @@ func serve(dev *netfabric.Device, conn int, opts *serveOpts, served chan<- struc
 		cache = verbs.NewMRCache(dev, opts.mrCache)
 		ep.MRCache = cache
 	}
+	// Per-connection observability: a child registry under the shared
+	// root (also visible over -http). The fabric counters go on the
+	// device before Bind starts its I/O goroutines.
+	var reg *telemetry.Registry
+	if opts.root != nil {
+		reg = opts.root.Child(fmt.Sprintf("conn%d", conn))
+		dev.Telemetry = telemetry.NewFabricMetrics(reg.Child("fabric"))
+	}
 	if err := ep.Bind(dev.BindQP); err != nil {
 		log.Printf("rftpd: %v", err)
 		return
@@ -245,12 +253,9 @@ func serve(dev *netfabric.Device, conn int, opts *serveOpts, served chan<- struc
 	eng := storage.NewEngine(workers)
 	defer eng.Close()
 
-	// Per-connection observability: a child registry under the shared
-	// root (also visible over -http) and an optional trace ring.
-	var reg *telemetry.Registry
-	if opts.root != nil {
-		reg = opts.root.Child(fmt.Sprintf("conn%d", conn))
-		dev.Telemetry = telemetry.NewFabricMetrics(reg.Child("fabric"))
+	// Protocol metrics on the connection's registry, and an optional
+	// trace ring.
+	if reg != nil {
 		sink.AttachTelemetry(reg)
 		sink.AttachSpans(reg, opts.spanSample)
 		eng.SetMetrics(core.NewIOMetrics(reg.Child("storage")))

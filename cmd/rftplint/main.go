@@ -1,7 +1,7 @@
 // Command rftplint runs RFTP's custom static-analysis suite over the
-// module: fsmtransition, spanstamp, bufownership, atomicmix, lockorder,
-// loopconfine, sessionaffinity, blockleak, msgexhaustive, and fsmlive
-// (see internal/analysis for what each enforces and why).
+// module: fsmtransition, bufownership, loopconfine, blockleak,
+// msgexhaustive, and fsmlive (see internal/analysis for what each
+// enforces and why).
 //
 // Usage:
 //
@@ -12,9 +12,10 @@
 // the exit status 1. Suppressions (//lint:allow pass justification)
 // drop the finding; -allows prints every suppression in force so stale
 // ones stay visible, and -strict-allows promotes stale suppressions —
-// comments whose pass ran but matched nothing — to failures, so a
-// fixed finding takes its excuse with it. -json emits the findings and
-// suppressions as a JSON report on stdout for CI artifacts.
+// comments whose pass ran but matched nothing, or that name no pass —
+// to failures, so a fixed finding takes its excuse with it. -json emits
+// the findings and suppressions as a JSON report on stdout for CI
+// artifacts.
 package main
 
 import (

@@ -5,8 +5,8 @@
 // task synchronization, plus every substrate needed to regenerate the
 // paper's evaluation without RDMA hardware.
 //
-// The root package contains only the per-figure benchmarks
-// (bench_test.go); the implementation lives under internal/:
+// The root package holds only this documentation; the implementation
+// lives under internal/:
 //
 //   - internal/core — the protocol (the paper's contribution)
 //   - internal/verbs — OFED-like verbs API

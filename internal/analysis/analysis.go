@@ -7,24 +7,18 @@
 //
 //   - fsmtransition: every write to a state-machine field guarded by a
 //     setState method must go through setState, keeping the validNext
-//     transition table the single source of truth (Figure 6).
-//   - spanstamp: every spans.Recorder.Transition call (a lifecycle
-//     span stamp) must sit inside a setState body, so the span table
-//     can never record a transition the FSM did not validate.
+//     transition table the single source of truth (Figure 6); and every
+//     spans.Recorder.Transition call (a lifecycle span stamp) must sit
+//     inside a setState body, so the span table can never record a
+//     transition the FSM did not validate.
 //   - bufownership: after a buffer is handed to PostSend (zero-copy
 //     verbs ownership), the caller must not mutate or repost it until
 //     the completion returns ownership.
-//   - atomicmix: a field accessed through sync/atomic anywhere must be
-//     accessed through sync/atomic everywhere.
-//   - lockorder: the cross-package mutex-acquisition graph must be
-//     acyclic, and no function may reacquire a lock its caller already
-//     holds on the same receiver.
 //   - loopconfine: loop-confined operations (setState, the credit
-//     ledger, span stamps) must never run on a raw goroutine — crossing
-//     shards is only sanctioned through a loop's Post/After handoff.
-//   - sessionaffinity: per-session records (srcSession, sinkSession)
-//     are owned by their connection's loop; no field of one may be
-//     written on a raw goroutine.
+//     ledger, span stamps) and writes into per-session records
+//     (srcSession, sinkSession) must never run on a raw goroutine —
+//     crossing shards is only sanctioned through a loop's Post/After
+//     handoff.
 //   - blockleak: flow-sensitive — every pool acquisition must reach a
 //     release, repost, or ownership handoff on every path out of the
 //     function, error returns included (CFG + forward dataflow + one-
@@ -44,8 +38,9 @@
 //
 // The justification is mandatory by convention; the suppression is
 // reported by cmd/rftplint -allows so stale ones stay visible, and a
-// suppression whose pass ran without matching anything is stale —
-// surfaced by Result.Stale and fatal under rftplint -strict-allows.
+// suppression whose pass ran without matching anything, or that names
+// no pass in All, is stale — surfaced by Result.Stale and fatal under
+// rftplint -strict-allows.
 package analysis
 
 import (
@@ -69,7 +64,7 @@ type Analyzer struct {
 	// Pass (via Pass.Shared) across packages of one Run call.
 	Begin func() any
 	// End, when non-nil, runs after every package has been visited and
-	// reports whole-program findings (e.g. cross-package lock cycles).
+	// reports whole-program findings (e.g. a Flag* bit never used).
 	End func(shared any, report func(Diagnostic))
 }
 
@@ -239,19 +234,25 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	return res, nil
 }
 
-// Stale returns the suppressions addressed to an analyzer that ran in
-// this Result but matched no finding — comments excusing code that no
-// longer trips the pass. Suppressions naming analyzers outside the run
-// set are not judged (they may belong to a pass this invocation did
-// not include).
+// Stale returns the suppressions that excuse nothing: those addressed
+// to an analyzer that ran in this Result but matched no finding
+// (comments excusing code that no longer trips the pass), and those
+// naming no analyzer in All (a typo, or a pass since deleted, which
+// would otherwise be honoured forever). A suppression for a known
+// analyzer outside the run set is not judged: this invocation did not
+// include its pass.
 func (r *Result) Stale(analyzers []*Analyzer) []Suppression {
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	var stale []Suppression
 	for _, s := range r.Suppressions {
-		if ran[s.Analyzer] && !s.Used {
+		if !s.Used && (ran[s.Analyzer] || !known[s.Analyzer]) {
 			stale = append(stale, s)
 		}
 	}
@@ -260,14 +261,13 @@ func (r *Result) Stale(analyzers []*Analyzer) []Suppression {
 
 // All returns the full RFTP analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{FSMTransition, SpanStamp, BufOwnership, AtomicMix, LockOrder, LoopConfine, SessionAffinity, BlockLeak, MsgExhaustive, FSMLive}
+	return []*Analyzer{FSMTransition, BufOwnership, LoopConfine, BlockLeak, MsgExhaustive, FSMLive}
 }
 
 // pathString renders an ident/selector chain as a stable dotted path
 // ("s.ep.Ctrl"), eliding index and slice expressions ("s.ctrlQ[]").
 // Expressions that are not simple paths render as "" (never matched).
-// Shared by bufownership (alias matching) and lockorder (instance
-// identity).
+// bufownership matches buffer and work-request aliases by it.
 func pathString(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -297,33 +297,5 @@ func pathString(e ast.Expr) string {
 		return ""
 	default:
 		return ""
-	}
-}
-
-// baseVar resolves the root object of a path expression (the "s" in
-// s.ep.Ctrl), or nil when the expression is not rooted in an identifier.
-func baseVar(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return info.ObjectOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		default:
-			return nil
-		}
 	}
 }

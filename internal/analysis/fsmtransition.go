@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // FSMTransition flags writes to a state-machine field that bypass its
@@ -17,9 +18,15 @@ import (
 // literal, increment, or taking the field's address — skips that
 // validation, so the table silently stops being the single source of
 // truth.
+//
+// The same guard owns the span table: spans.Recorder.Transition stamps
+// a block's state change, and the table agrees with the FSM only if
+// every stamp sits lexically inside a function named setState. A stamp
+// anywhere else can record a transition validNext rejected (or miss one
+// it allowed). The spans package itself stamps freely.
 var FSMTransition = &Analyzer{
 	Name: "fsmtransition",
-	Doc:  "flag writes to a setState-guarded state field outside setState",
+	Doc:  "flag state-field writes and span stamps outside setState",
 	Run:  runFSMTransition,
 }
 
@@ -31,18 +38,16 @@ func runFSMTransition(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != "setState" || len(fd.Recv.List) == 0 {
+			if !ok || fd.Name.Name != "setState" {
 				continue
 			}
-			recvType := pass.Info.TypeOf(fd.Recv.List[0].Type)
-			if v := stateFieldOf(recvType); v != nil {
-				guarded[v] = true
-				setStateBodies = append(setStateBodies, fd)
+			setStateBodies = append(setStateBodies, fd)
+			if fd.Recv != nil && len(fd.Recv.List) > 0 {
+				if v := stateFieldOf(pass.Info.TypeOf(fd.Recv.List[0].Type)); v != nil {
+					guarded[v] = true
+				}
 			}
 		}
-	}
-	if len(guarded) == 0 {
-		return nil
 	}
 	inSetState := func(pos token.Pos) bool {
 		for _, fd := range setStateBodies {
@@ -63,6 +68,13 @@ func runFSMTransition(pass *Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.CallExpr:
+				if isRecorderTransition(pass, n) && !inSetState(n.Pos()) {
+					pass.Report(Diagnostic{
+						Pos:     n.Pos(),
+						Message: "span stamp (spans.Recorder.Transition) outside setState: lifecycle transitions must be stamped by the FSM guard",
+					})
+				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					if v := guardedField(pass.Info, guarded, lhs); v != nil && !inSetState(n.Pos()) {
@@ -175,4 +187,47 @@ func ownerName(v *types.Var) string {
 		}
 	}
 	return "struct"
+}
+
+// isRecorderTransition reports whether call invokes the Transition
+// method of a Recorder type defined in another package named "spans".
+func isRecorderTransition(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	var obj types.Object
+	if s, ok := pass.Info.Selections[sel]; ok {
+		obj = s.Obj()
+	} else {
+		obj = pass.Info.Uses[sel.Sel]
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Name() != "Transition" {
+		return false
+	}
+	// The defining package stamps freely (implementation and tests);
+	// pointer identity also covers its test-augmented variant, which is
+	// type-checked as one package.
+	if fn.Pkg() == nil || fn.Pkg() == pass.Pkg || pathBase(fn.Pkg().Path()) != "spans" {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Recorder"
+}
+
+// pathBase returns the last element of an import path.
+func pathBase(path string) string {
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		return path[i+1:]
+	}
+	return path
 }

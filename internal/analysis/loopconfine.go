@@ -16,7 +16,11 @@ import (
 // pass checks the structural half: the recognised confined operations
 // (any setState method, the invariant credit-ledger probes that shadow
 // the real ledger, and spans.Recorder.Transition) must never execute
-// on a goroutine launched with a bare `go` statement.
+// on a goroutine launched with a bare `go` statement, and neither may
+// a write (plain assignment, op-assignment, or ++/--) into a field of a
+// per-session record (the sessionRecords types), whose credit counters,
+// deficits, load depths and queues are mutated loop-confined, never
+// under a lock.
 //
 // A confined call is reported when walking outward from the call site
 // reaches a `go` statement before reaching either a function
@@ -31,7 +35,7 @@ import (
 // primitives freely.
 var LoopConfine = &Analyzer{
 	Name: "loopconfine",
-	Doc:  "flag loop-confined calls (setState, credit ledger, span stamps) on raw goroutines",
+	Doc:  "flag loop-confined calls and session-record writes on raw goroutines",
 	Run:  runLoopConfine,
 }
 
@@ -43,6 +47,13 @@ var loopHandoff = map[string]bool{
 	"AfterFunc": true,
 }
 
+// sessionRecords names the per-session record types owned by their
+// connection's loop: no field of one may be written on a raw goroutine.
+var sessionRecords = map[string]bool{
+	"srcSession":  true,
+	"sinkSession": true,
+}
+
 func runLoopConfine(pass *Pass) error {
 	for _, f := range pass.Files {
 		var stack []ast.Node
@@ -52,20 +63,32 @@ func runLoopConfine(pass *Pass) error {
 				return true
 			}
 			stack = append(stack, n)
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			var targets []ast.Expr
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if what := confinedCall(pass, n); what != "" && onRawGoroutine(stack) {
+					pass.Report(Diagnostic{
+						Pos: n.Pos(),
+						Message: "loop-confined call (" + what + ") on a raw goroutine: " +
+							"shard state is single-loop by design; hand the work to the owning loop with Post",
+					})
+				}
+				return true
+			case *ast.AssignStmt:
+				targets = n.Lhs
+			case *ast.IncDecStmt:
+				targets = []ast.Expr{n.X}
+			default:
 				return true
 			}
-			what := confinedCall(pass, call)
-			if what == "" {
-				return true
-			}
-			if onRawGoroutine(stack) {
-				pass.Report(Diagnostic{
-					Pos: call.Pos(),
-					Message: "loop-confined call (" + what + ") on a raw goroutine: " +
-						"shard state is single-loop by design; hand the work to the owning loop with Post",
-				})
+			for _, lhs := range targets {
+				if what := sessionFieldWrite(pass, lhs); what != "" && onRawGoroutine(stack) {
+					pass.Report(Diagnostic{
+						Pos: lhs.Pos(),
+						Message: "session-affine write (" + what + ") on a raw goroutine: " +
+							"session records are owned by the connection's loop; hand the write to it with Post",
+					})
+				}
 			}
 			return true
 		})
@@ -105,6 +128,44 @@ func confinedCall(pass *Pass, call *ast.CallExpr) string {
 		if fn.Pkg() != nil && fn.Pkg() != pass.Pkg && pathBase(fn.Pkg().Path()) == "invariant" {
 			return "invariant." + fn.Name()
 		}
+	}
+	return ""
+}
+
+// sessionFieldWrite classifies lhs as a field write into a session
+// record, returning "type.field" for the diagnostic ("" otherwise).
+// Nested paths (sess.info.ID = …) count: the root record is still
+// being mutated.
+func sessionFieldWrite(pass *Pass, lhs ast.Expr) string {
+	for {
+		switch e := ast.Unparen(lhs).(type) {
+		case *ast.SelectorExpr:
+			if name := sessionTypeName(pass.Info.Types[e.X].Type); name != "" {
+				return name + "." + e.Sel.Name
+			}
+			lhs = e.X
+		case *ast.IndexExpr:
+			lhs = e.X
+		case *ast.StarExpr:
+			lhs = e.X
+		default:
+			return ""
+		}
+	}
+}
+
+// sessionTypeName returns the name of t (possibly behind pointers) when
+// it is one of the sessionRecords types, "" otherwise.
+func sessionTypeName(t types.Type) string {
+	for {
+		p, ok := t.(*types.Pointer)
+		if !ok {
+			break
+		}
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok && sessionRecords[named.Obj().Name()] {
+		return named.Obj().Name()
 	}
 	return ""
 }

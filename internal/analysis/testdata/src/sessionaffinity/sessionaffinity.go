@@ -1,7 +1,8 @@
-// Package sessionaffinity is a deliberately broken fixture for the
-// sessionaffinity pass: per-session records mutated on raw goroutines,
-// next to the sanctioned shapes (on-loop methods, closures handed back
-// through Post/After, writes to unrelated types) that must stay quiet.
+// Package sessionaffinity is a deliberately broken fixture for
+// loopconfine's session-record check: per-session records mutated on
+// raw goroutines, next to the sanctioned shapes (on-loop methods,
+// closures handed back through Post/After, writes to unrelated types)
+// that must stay quiet.
 package sessionaffinity
 
 // loop mimics the verbs.Loop scheduling surface.
@@ -31,7 +32,7 @@ type sinkSession struct {
 	deficit int
 }
 
-// unrelated proves the pass keys on the session types, not on field
+// unrelated proves the check keys on the session types, not on field
 // names.
 type unrelated struct {
 	granted int
@@ -110,6 +111,6 @@ func otherTypes(u *unrelated, s *srcSession, out chan int) {
 
 func suppressed(k *sinkSession) {
 	go func() {
-		k.granted = 0 //lint:allow sessionaffinity fixture: proves suppression drops the finding
+		k.granted = 0 //lint:allow loopconfine fixture: proves suppression drops the finding
 	}()
 }

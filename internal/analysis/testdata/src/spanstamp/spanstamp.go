@@ -1,7 +1,7 @@
-// Package spanstamp is a deliberately broken fixture for the spanstamp
-// pass: a setState-guarded block stamping its lifecycle into the real
-// spans.Recorder, plus every way of stamping outside the guard that
-// the pass must catch.
+// Package spanstamp is a deliberately broken fixture for fsmtransition's
+// span-stamp check: a setState-guarded block stamping its lifecycle into
+// the real spans.Recorder, plus every way of stamping outside the guard
+// that the pass must catch.
 package spanstamp
 
 import "rftp/internal/spans"
@@ -23,7 +23,7 @@ func rogueStamp(rec *spans.Recorder) {
 
 func (b *block) skipGuard(next uint8) {
 	b.spanRef = b.spans.Transition(b.spanRef, b.state, next) // want `span stamp .* outside setState`
-	b.state = next
+	b.state = next                                           // want `direct write of block.state outside setState`
 }
 
 func inClosure(rec *spans.Recorder) func() {
@@ -38,5 +38,5 @@ func unrelated(rec *spans.Recorder) {
 }
 
 func suppressed(rec *spans.Recorder) {
-	rec.Transition(spans.RefNone, spans.StateFree, spans.StateLoading) //lint:allow spanstamp fixture: proves suppression drops the finding
+	rec.Transition(spans.RefNone, spans.StateFree, spans.StateLoading) //lint:allow fsmtransition fixture: proves suppression drops the finding
 }

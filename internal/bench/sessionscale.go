@@ -15,8 +15,8 @@ import (
 // per-tenant memory stays bounded (the shared pool amortizes, it does
 // not replicate).
 
-// SessionScaleCounts is the tenant sweep both the ablation and the
-// repo-root BenchmarkSessionScaling run.
+// SessionScaleCounts is the tenant sweep both the ablation and
+// TestSessionScalingShape run.
 var SessionScaleCounts = []int{1, 8, 64, 256, 1024}
 
 // sessionScaleMax extends the ablation (only) to the 10k-tenant point:

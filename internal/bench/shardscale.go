@@ -19,8 +19,8 @@ func ShardScaleTestbed() Testbed {
 	return tb
 }
 
-// shardScaleConfig is the workload AblationReactors and the repo-root
-// BenchmarkShardScaling share: 8 KiB blocks over 4 data channels with
+// shardScaleConfig is the workload AblationReactors and
+// TestShardScalingShape share: 8 KiB blocks over 4 data channels with
 // immediate notification, so the per-block reactor cost dominates and
 // goodput tracks how many cores the data path can use.
 func shardScaleConfig() core.Config {

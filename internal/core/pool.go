@@ -113,7 +113,7 @@ type block struct {
 	// Lifecycle span recording (nil/RefNone when spans are detached or
 	// this lifecycle is unsampled). Stamped exclusively by setState so
 	// the span table can never disagree with the FSM; rftplint's
-	// spanstamp pass enforces that no other call site exists.
+	// fsmtransition pass enforces that no other call site exists.
 	spans   *spans.Recorder
 	spanRef spans.Ref
 }

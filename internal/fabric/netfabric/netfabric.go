@@ -237,7 +237,7 @@ type Device struct {
 	outQ    []*frame // swapped wholesale with the writer's batch slice
 	writing bool     // writer is mid-batch (for Close's drain wait)
 	closed  atomic.Bool
-	wg      sync.WaitGroup
+	start   sync.Once // launches writer and reader at the first BindQP
 
 	mu       sync.Mutex
 	nextPD   uint32
@@ -252,7 +252,7 @@ type Device struct {
 	RxBytes   atomic.Uint64
 	TxBytes   atomic.Uint64
 
-	// Telemetry, when set before traffic starts, records per-opcode WR
+	// Telemetry, when set before the first BindQP, records per-opcode WR
 	// and byte counters for this device. Nil costs nothing.
 	Telemetry *telemetry.FabricMetrics
 
@@ -289,9 +289,6 @@ func newDevice(name string, conn net.Conn) *Device {
 		tokens:   make(map[uint64]pendingToken),
 	}
 	d.outCond = sync.NewCond(&d.outMu)
-	d.wg.Add(2)
-	go d.writer()
-	go d.reader()
 	return d
 }
 
@@ -389,7 +386,6 @@ const ctrlInlineMax = 2048
 // Batch storage (the swapped slice, the arena, the iovec) is reused
 // across batches, so a steady-state sender allocates nothing here.
 func (d *Device) writer() {
-	defer d.wg.Done()
 	var batch []*frame
 	var hdrs []byte
 	var iov [][]byte
@@ -472,7 +468,6 @@ func (d *Device) writer() {
 }
 
 func (d *Device) reader() {
-	defer d.wg.Done()
 	r := bufio.NewReaderSize(d.conn, 256<<10)
 	var h [frameHeaderLen]byte
 	for {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rftp/internal/fabric/chanfabric"
+	"rftp/internal/telemetry"
 	"rftp/internal/verbs"
 )
 
@@ -213,5 +214,74 @@ func TestStatusMapping(t *testing.T) {
 		if got := frameStatusToVerbs(in); got != want {
 			t.Errorf("status %d -> %v, want %v", in, got, want)
 		}
+	}
+}
+
+// TestTelemetrySetBeforeFirstBind sets Telemetry on a device whose peer
+// has already sent to it but which has bound no QP yet: the I/O
+// goroutines start at the first BindQP, so that write is ordered before
+// every read of the field. Under -race this fails if the reader runs
+// from Dial/Accept.
+func TestTelemetrySetBeforeFirstBind(t *testing.T) {
+	a, b := pair(t)
+	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	t.Cleanup(func() { la.Stop(); lb.Stop() })
+	cqA := a.CreateCQ(la, 16).(*verbs.UpcallCQ)
+	gotA := make(chan verbs.WC, 4)
+	cqA.SetHandler(func(wc verbs.WC) { gotA <- wc })
+	qa, _ := a.CreateQP(verbs.QPConfig{PD: a.AllocPD(), SendCQ: cqA, RecvCQ: cqA})
+	if err := a.BindQP(qa, 0); err != nil {
+		t.Fatal(err)
+	}
+	sink := make([]byte, 64)
+	mr, _ := b.RegisterMR(&verbs.PD{}, sink, verbs.AccessRemoteWrite)
+	if err := qa.PostSend(&verbs.SendWR{WRID: 1, Op: verbs.OpWrite, Data: []byte("early"), Remote: mr.Remote(0)}); err != nil {
+		t.Fatal(err)
+	}
+	// Let the frame reach b's socket: with the reader running before the
+	// first bind, it would now have read Telemetry unsynchronized.
+	time.Sleep(50 * time.Millisecond)
+
+	b.Telemetry = telemetry.NewFabricMetrics(telemetry.NewRegistry("b"))
+	cqB := b.CreateCQ(lb, 16).(*verbs.UpcallCQ)
+	cqB.SetHandler(func(verbs.WC) {})
+	qb, _ := b.CreateQP(verbs.QPConfig{PD: b.AllocPD(), SendCQ: cqB, RecvCQ: cqB})
+	if err := b.BindQP(qb, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitWrite := func() {
+		select {
+		case wc := <-gotA:
+			if wc.Status != verbs.StatusSuccess {
+				t.Fatalf("write WC: %+v", wc)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("write never completed")
+		}
+	}
+	waitWrite() // the early WRITE, read off the socket once b binds
+	if err := qa.PostSend(&verbs.SendWR{WRID: 2, Op: verbs.OpWrite, Data: []byte("later"), Remote: mr.Remote(0)}); err != nil {
+		t.Fatal(err)
+	}
+	waitWrite()
+	b.Sync()
+	if string(sink[:5]) != "later" {
+		t.Fatalf("sink = %q", sink[:5])
+	}
+	if got := b.Telemetry.RxBytes(); got < int64(2*(frameHeaderLen+5)) {
+		t.Fatalf("Telemetry counted %d rx bytes, want both frames", got)
+	}
+}
+
+// TestCloseUnboundDevice closes a dialed device that never bound a QP,
+// so its I/O goroutines never started: Close must not wait for them.
+func TestCloseUnboundDevice(t *testing.T) {
+	a, _ := pair(t)
+	start := time.Now()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close of an unbound device took %v", d)
 	}
 }

@@ -63,7 +63,9 @@ func (d *Device) CreateQP(cfg verbs.QPConfig) (verbs.QP, error) {
 
 // BindQP attaches a QP to a channel id. Both peers must bind matching
 // channel ids (core's Endpoint.Bind numbers them). Frames that arrived
-// early are replayed.
+// early are replayed. The first call starts the device's socket reader
+// and writer, so fields set before it (Telemetry) need no other
+// synchronization; until then the peer's frames wait in the socket.
 func (d *Device) BindQP(q verbs.QP, channel uint32) error {
 	qp, ok := q.(*QP)
 	if !ok || qp.dev != d {
@@ -83,6 +85,10 @@ func (d *Device) BindQP(q verbs.QP, channel uint32) error {
 	for _, f := range early {
 		qp.inbound(f)
 	}
+	d.start.Do(func() {
+		go d.writer()
+		go d.reader()
+	})
 	return nil
 }
 

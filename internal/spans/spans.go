@@ -365,7 +365,7 @@ func stageKind(st Stage) Kind {
 // RefNone if unsampled) when the block leaves Free, RefNone after the
 // block returns to Free and the span is folded into the aggregates.
 // This is the only stamping entry point, and it must be called from the
-// block FSM's setState — rftplint's spanstamp pass enforces that every
+// block FSM's setState — rftplint's fsmtransition pass enforces that every
 // call site is inside a setState body, so the span table can never
 // disagree with the FSM.
 func (r *Recorder) Transition(ref Ref, from, to uint8) Ref {
