@@ -54,6 +54,7 @@ type Endpoint struct {
 	// ctrl is the control plane over Ctrl/CtrlCQ, live from construction.
 	ctrl        ctrlPlane
 	ctrlRecvMRs []*verbs.MR
+	ctrlRecvWR  verbs.RecvWR // the reusable control (re)post WR
 	notifyMR    *verbs.MR
 	notifyWRs   []verbs.RecvWR // one reusable repost WR per data QP
 	ctrlDepth   int
@@ -160,7 +161,7 @@ func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth,
 			return nil, fmt.Errorf("core: control recv buffer: %w", err)
 		}
 		ep.ctrlRecvMRs = append(ep.ctrlRecvMRs, mr)
-		if err := ep.Ctrl.PostRecv(&verbs.RecvWR{WRID: uint64(i), MR: mr, Len: ctrlBufSize}); err != nil {
+		if err := ep.repostCtrlRecv(uint64(i)); err != nil {
 			return nil, fmt.Errorf("core: pre-posting control recv: %w", err)
 		}
 	}
@@ -362,13 +363,16 @@ func (ep *Endpoint) repostDataNotifyRecv(ch int, wrid uint64) error {
 	return ep.Data[ch].PostRecv(wr)
 }
 
-// repostCtrlRecv returns a consumed control receive buffer to the ring.
+// repostCtrlRecv (re)posts control receive buffer wrid through the one
+// reusable WR (PostRecv copies it). Construction pre-posts the ring and
+// then only the control loop reposts, so the WR has a single writer.
 func (ep *Endpoint) repostCtrlRecv(wrid uint64) error {
 	if ep.closed.Load() {
 		return ErrClosed
 	}
-	mr := ep.ctrlRecvMRs[int(wrid)]
-	return ep.Ctrl.PostRecv(&verbs.RecvWR{WRID: wrid, MR: mr, Len: ctrlBufSize})
+	wr := &ep.ctrlRecvWR
+	wr.WRID, wr.MR, wr.Len = wrid, ep.ctrlRecvMRs[int(wrid)], ctrlBufSize
+	return ep.Ctrl.PostRecv(wr)
 }
 
 // Close tears down all queue pairs.

@@ -9,10 +9,12 @@
 // the quickstart example use; with shaping it approximates a LAN/WAN in
 // wall-clock time for small transfers.
 //
-// Semantics match simfabric except that receiver-not-ready SENDs are
-// parked until a receive is posted instead of being NAK-retried: the
-// counter RNRStalls records how often that happened. ModelBytes are
-// rejected — this fabric moves real bytes only.
+// The queue-pair semantics are verbs.RCQP's, shared with the other
+// fabrics; this package is the transport. Semantics match simfabric
+// except one: a receiver-not-ready SEND parks until a receive is posted
+// instead of being NAK-retried, so it never fails with
+// StatusRNRRetryExceeded. The counter RNRStalls records how often that
+// happened. ModelBytes are rejected — this fabric moves real bytes only.
 package chanfabric
 
 import (
@@ -21,7 +23,6 @@ import (
 	"time"
 
 	"rftp/internal/bufpool"
-	"rftp/internal/ringq"
 	"rftp/internal/telemetry"
 	"rftp/internal/verbs"
 )
@@ -105,15 +106,6 @@ func (d *Device) Space() *verbs.AddressSpace { return d.space }
 
 var _ verbs.Device = (*Device)(nil)
 
-type qpState int32
-
-const (
-	stateInit int32 = iota
-	stateReady
-	stateError
-	stateClosed
-)
-
 type message struct {
 	wr   verbs.SendWR
 	data []byte // pooled copy of wr.Data taken at post time
@@ -132,49 +124,32 @@ func (m *message) releaseData() {
 	}
 }
 
-// QP is an in-process queue pair.
+// QP is an in-process queue pair: the shared RC model (verbs.RCQP)
+// carried by a pipe goroutine per direction.
 type QP struct {
-	dev    *Device
-	id     verbs.QPID
-	cfg    verbs.QPConfig
-	sendCQ *verbs.UpcallCQ
-	recvCQ *verbs.UpcallCQ
-	peer   *QP
-	state  atomic.Int32
+	dev  *Device
+	peer *QP
+	rc   verbs.RCQP[*message, *message]
 
-	// sender-side, guarded by sendMu (PostSend may be called from any
-	// goroutine, though the protocol uses one loop).
-	sendMu        sync.Mutex
-	sqOutstanding int
-	pipe          chan *message
-	pipeOnce      sync.Once
-	// READ initiator depth: posts beyond MaxRDAtomic park in rdWait
-	// (still consuming a send-queue slot) and enter the wire one at a
-	// time as earlier READs complete, matching hardware that queues
-	// rather than rejects past the negotiated depth.
-	rdOutstanding int
-	rdWait        ringq.Ring[*message]
-
-	// receiver-side state, touched only on the recv CQ's loop.
-	recvMu  sync.Mutex
-	recvQ   ringq.Ring[*verbs.RecvWR]
-	pending ringq.Ring[*message]
+	// sendMu guards rc's send side and the pipe (PostSend may be called
+	// from any goroutine, though the protocol uses one loop); recvMu
+	// guards rc's receive side. Neither is held while taking the other.
+	sendMu   sync.Mutex
+	pipe     chan *message
+	pipeOnce sync.Once
+	recvMu   sync.Mutex
+	settleFn func() // settle, bound once so PostRecv allocates nothing
 }
 
 // CreateQP implements verbs.Device.
 func (d *Device) CreateQP(cfg verbs.QPConfig) (verbs.QP, error) {
-	if cfg.Type != verbs.RC {
-		return nil, verbs.ErrBadWR
+	qp := &QP{dev: d}
+	if err := qp.rc.Init(cfg); err != nil {
+		return nil, err
 	}
-	cfg = cfg.Normalize()
-	sendCQ, ok1 := cfg.SendCQ.(*verbs.UpcallCQ)
-	recvCQ, ok2 := cfg.RecvCQ.(*verbs.UpcallCQ)
-	if !ok1 || !ok2 {
-		return nil, verbs.ErrBadWR
-	}
-	id := verbs.QPID(atomic.AddUint64(&d.fabric.nextQP, 1))
-	qp := &QP{dev: d, id: id, cfg: cfg, sendCQ: sendCQ, recvCQ: recvCQ}
-	qp.pipe = make(chan *message, cfg.MaxSend*2+16)
+	qp.rc.ID = verbs.QPID(atomic.AddUint64(&d.fabric.nextQP, 1))
+	qp.pipe = make(chan *message, qp.rc.Cfg.MaxSend*2+16)
+	qp.settleFn = qp.settle
 	return qp, nil
 }
 
@@ -190,41 +165,23 @@ func (f *Fabric) ConnectQPs(a, b verbs.QP) error {
 		return verbs.ErrNotConnected
 	}
 	qa.peer, qb.peer = qb, qa
-	qa.state.Store(stateReady)
-	qb.state.Store(stateReady)
+	qa.rc.Connect()
+	qb.rc.Connect()
 	qa.pipeOnce.Do(func() { go qa.runPipe() })
 	qb.pipeOnce.Do(func() { go qb.runPipe() })
 	return nil
 }
 
 // ID implements verbs.QP.
-func (q *QP) ID() verbs.QPID { return q.id }
+func (q *QP) ID() verbs.QPID { return q.rc.ID }
 
 // PostSend implements verbs.QP.
 func (q *QP) PostSend(wr *verbs.SendWR) error {
-	switch q.state.Load() {
-	case stateClosed:
-		return verbs.ErrQPClosed
-	case stateError:
-		return verbs.ErrQPError
-	case stateInit:
-		return verbs.ErrNotConnected
+	if err := q.rc.CheckSend(wr); err != nil {
+		return err
 	}
 	if wr.ModelBytes != 0 {
 		return verbs.ErrModelBytes
-	}
-	switch wr.Op {
-	case verbs.OpSend, verbs.OpWrite, verbs.OpWriteImm:
-		if wr.Length() <= 0 {
-			return verbs.ErrBadWR
-		}
-	case verbs.OpRead:
-		if wr.ReadLen <= 0 || wr.Local == nil || wr.LocalOffset < 0 ||
-			wr.LocalOffset+wr.ReadLen > wr.Local.Len {
-			return verbs.ErrBadWR
-		}
-	default:
-		return verbs.ErrBadWR
 	}
 	m := &message{wr: *wr}
 	if q.dev.Telemetry != nil {
@@ -241,26 +198,13 @@ func (q *QP) PostSend(wr *verbs.SendWR) error {
 		verbs.CountCopy(len(wr.Data))
 	}
 	q.sendMu.Lock()
-	if q.state.Load() == stateClosed {
-		q.sendMu.Unlock()
-		return verbs.ErrQPClosed
-	}
-	if q.sqOutstanding >= q.cfg.MaxSend {
-		q.sendMu.Unlock()
-		return verbs.ErrSendQueueFull
-	}
-	q.sqOutstanding++
-	if wr.Op == verbs.OpRead && q.rdOutstanding >= q.cfg.MaxRDAtomic {
-		q.rdWait.Push(m)
-		q.sendMu.Unlock()
-		q.dev.Telemetry.Posted(wr.Op, wr.Length())
-		return nil
-	}
-	if wr.Op == verbs.OpRead {
-		q.rdOutstanding++
-	}
-	q.pipe <- m // buffered beyond MaxSend: never blocks
+	err := q.rc.Post(m, wr)
+	q.kick()
 	q.sendMu.Unlock()
+	if err != nil {
+		m.releaseData()
+		return err
+	}
 	q.dev.TxBytes.Add(uint64(wr.Length()))
 	q.dev.Telemetry.Posted(wr.Op, wr.Length())
 	if wr.Op == verbs.OpSend {
@@ -269,28 +213,26 @@ func (q *QP) PostSend(wr *verbs.SendWR) error {
 	return nil
 }
 
-// PostRecv implements verbs.QP.
+// kick feeds the pipe every WR the send queue releases, in posting
+// order (once the QP has failed or closed, it flushes them instead).
+// Runs under sendMu; the pipe is buffered beyond MaxSend, so it never
+// blocks.
+func (q *QP) kick() {
+	for m, ok := q.rc.Next(); ok; m, ok = q.rc.Next() {
+		q.pipe <- m
+	}
+}
+
+// PostRecv implements verbs.QP. Parked arrivals are delivered on the
+// receiver loop.
 func (q *QP) PostRecv(wr *verbs.RecvWR) error {
-	switch q.state.Load() {
-	case stateClosed:
-		return verbs.ErrQPClosed
-	case stateError:
-		return verbs.ErrQPError
-	}
-	if wr.MR == nil || wr.Len <= 0 || wr.Offset < 0 || wr.Offset+wr.Len > wr.MR.Len {
-		return verbs.ErrBadWR
-	}
-	cp := *wr
 	q.recvMu.Lock()
-	if q.recvQ.Len() >= q.cfg.MaxRecv {
-		q.recvMu.Unlock()
-		return verbs.ErrRecvQueueFull
-	}
-	q.recvQ.Push(&cp)
+	err := q.rc.PostRecv(wr)
 	q.recvMu.Unlock()
-	// Deliver any parked arrivals on the receiver loop.
-	q.recvCQ.Loop().Post(0, q.drainPending)
-	return nil
+	if err == nil {
+		q.rc.RecvCQ.Loop().Post(0, q.settleFn)
+	}
+	return err
 }
 
 // runPipe shapes and delivers messages in order.
@@ -318,19 +260,19 @@ func (q *QP) runPipe() {
 			}
 		}
 		peer := q.peer
-		if peer == nil || peer.state.Load() == stateClosed {
+		if !peer.rc.Ready() {
 			m.releaseData()
 			q.completeSend(m, verbs.StatusAborted)
 			continue
 		}
 		m := m
-		peer.recvCQ.Loop().Post(0, func() { peer.arrive(m) })
+		peer.rc.RecvCQ.Loop().Post(0, func() { peer.arrive(m) })
 	}
 }
 
 // arrive runs on the receiver's loop; q.peer is the sender.
 func (q *QP) arrive(m *message) {
-	if q.state.Load() != stateReady {
+	if !q.rc.Ready() {
 		m.releaseData()
 		q.peer.completeSend(m, verbs.StatusAborted)
 		return
@@ -356,8 +298,8 @@ func (q *QP) placeWrite(m *message) bool {
 	_, _, err := q.dev.space.Place(m.wr.Remote, m.data, 0)
 	m.releaseData() // placed (or rejected) — either way the staging copy is done
 	if err != nil {
-		q.enterError()
-		q.peer.completeSendAndError(m, verbs.StatusRemoteAccessError)
+		q.fail()
+		q.peer.completeSend(m, verbs.StatusRemoteAccessError)
 		return false
 	}
 	q.dev.RxBytes.Add(uint64(n))
@@ -368,55 +310,44 @@ func (q *QP) placeWrite(m *message) bool {
 // park queues a receive-consuming arrival and tries to deliver.
 func (q *QP) park(m *message) {
 	q.recvMu.Lock()
-	q.pending.Push(m)
-	stalled := q.recvQ.Len() == 0
+	rnr := q.rc.Park(m, m.wr.Op, m.data, m.wr.Length(), m.wr.Imm)
 	q.recvMu.Unlock()
-	if stalled {
+	if rnr {
 		q.dev.RNRStalls.Add(1)
 		q.dev.Telemetry.RNR()
 	}
-	q.drainPending()
+	q.settle()
 }
 
-// drainPending delivers parked arrivals while receives are available.
-// Runs on the receiver loop.
-func (q *QP) drainPending() {
+// settle answers every arrival the receive queue is done with and, once
+// the QP has failed or closed, flushes the send queue too. In service it
+// runs on the receiver loop only, which keeps the answers in order.
+func (q *QP) settle() {
 	for {
 		q.recvMu.Lock()
-		if q.pending.Len() == 0 || q.recvQ.Len() == 0 {
-			q.recvMu.Unlock()
-			return
-		}
-		m, _ := q.pending.Pop()
-		rwr, _ := q.recvQ.Pop()
+		m, st, ok := q.rc.Deliver()
 		q.recvMu.Unlock()
-
-		if m.wr.Op == verbs.OpWriteImm {
-			q.recvCQ.Dispatch(0, verbs.WC{
-				WRID: rwr.WRID, Status: verbs.StatusSuccess, Op: verbs.OpWriteImm,
-				ByteLen: m.wr.Length(), Imm: m.wr.Imm, QP: q.id,
-			})
-			q.peer.completeSend(m, verbs.StatusSuccess)
-			continue
+		if !ok {
+			break
 		}
-		if len(m.data) > rwr.Len {
-			m.releaseData()
-			q.enterError()
-			q.peer.completeSendAndError(m, verbs.StatusRemoteAccessError)
-			return
+		if st == verbs.StatusSuccess && m.wr.Op == verbs.OpSend {
+			q.dev.RxBytes.Add(uint64(len(m.data)))
+			q.dev.Telemetry.Rx(len(m.data))
 		}
-		n := len(m.data)
-		rwr.MR.PlaceLocal(rwr.Offset, m.data)
 		m.releaseData() // staging copy consumed by placement
-		q.dev.RxBytes.Add(uint64(n))
-		q.dev.Telemetry.Rx(n)
-		q.recvCQ.Dispatch(0, verbs.WC{
-			WRID: rwr.WRID, Status: verbs.StatusSuccess, Op: verbs.OpRecv,
-			ByteLen: m.wr.Length(), Imm: m.wr.Imm,
-			Data: rwr.MR.ViewLocal(rwr.Offset, n), QP: q.id,
-		})
-		q.peer.completeSend(m, verbs.StatusSuccess)
+		q.peer.completeSend(m, st)
 	}
+	if !q.rc.Ready() {
+		q.sendMu.Lock()
+		q.kick()
+		q.sendMu.Unlock()
+	}
+}
+
+// fail moves the QP to Error and flushes it.
+func (q *QP) fail() {
+	q.rc.Fail()
+	q.settle()
 }
 
 // serveRead runs at the responder: fetch and return data to the
@@ -424,7 +355,7 @@ func (q *QP) drainPending() {
 func (q *QP) serveRead(m *message) {
 	_, view, err := q.dev.space.Fetch(m.wr.Remote, m.wr.ReadLen)
 	if err != nil {
-		q.enterError()
+		q.fail()
 		q.peer.completeRead(m, nil, verbs.StatusRemoteAccessError)
 		return
 	}
@@ -433,7 +364,7 @@ func (q *QP) serveRead(m *message) {
 	verbs.CountCopy(len(view))
 	q.dev.TxBytes.Add(uint64(m.wr.ReadLen))
 	init := q.peer
-	init.sendCQ.Loop().Post(0, func() { init.completeRead(m, data, verbs.StatusSuccess) })
+	init.rc.SendCQ.Loop().Post(0, func() { init.completeRead(m, data, verbs.StatusSuccess) })
 }
 
 // completeRead lands READ data at the initiator (on its loop).
@@ -444,87 +375,48 @@ func (q *QP) completeRead(m *message, data []byte, status verbs.Status) {
 		q.dev.Telemetry.Rx(len(data))
 	}
 	bufpool.Put(data)
-	q.finishSend(m, status, m.wr.ReadLen)
+	q.finishSend(m, status)
 }
 
 // completeSend delivers a sender completion for non-READ ops.
 func (q *QP) completeSend(m *message, status verbs.Status) {
 	lat := q.dev.shaping.Latency // ACK propagation
 	if lat > 0 {
-		time.AfterFunc(lat, func() { q.finishSend(m, status, m.wr.Length()) })
+		time.AfterFunc(lat, func() { q.finishSend(m, status) })
 		return
 	}
-	q.finishSend(m, status, m.wr.Length())
+	q.finishSend(m, status)
 }
 
-func (q *QP) completeSendAndError(m *message, status verbs.Status) {
-	q.enterError()
-	q.finishSend(m, status, m.wr.Length())
-}
-
-func (q *QP) finishSend(m *message, status verbs.Status, byteLen int) {
+// finishSend retires a WR the wire is done with and releases whatever
+// its completion frees (a READ's depth) onto the pipe.
+func (q *QP) finishSend(m *message, status verbs.Status) {
 	q.sendMu.Lock()
-	q.sqOutstanding--
-	var next *message
-	if m.wr.Op == verbs.OpRead {
-		q.rdOutstanding--
-		if q.rdWait.Len() > 0 && q.state.Load() == stateReady {
-			next, _ = q.rdWait.Pop()
-			q.rdOutstanding++
-		}
-	}
-	if next != nil {
-		q.pipe <- next // sqOutstanding-bounded: never blocks
-	}
+	q.rc.Complete(&m.wr, status)
+	q.kick()
 	q.sendMu.Unlock()
 	q.dev.Telemetry.Completed(m.wr.Op)
 	if !m.postedAt.IsZero() {
 		q.dev.Telemetry.WireRTT(time.Since(m.postedAt))
 	}
 	if status != verbs.StatusSuccess {
-		q.enterError()
-	} else if m.wr.NoCompletion {
-		return
+		q.settle()
 	}
-	q.sendCQ.Dispatch(0, verbs.WC{
-		WRID: m.wr.WRID, Status: status, Op: m.wr.Op, ByteLen: byteLen, QP: q.id,
-	})
 }
 
-// enterError moves the QP to the error state.
-func (q *QP) enterError() {
-	q.state.CompareAndSwap(stateReady, stateError)
-}
-
-// Close implements verbs.QP. Parked receives are flushed and the
-// delivery pipe goroutine is shut down.
+// Close implements verbs.QP: the QP flushes (see verbs.RCQP) and its
+// delivery pipe goroutine shuts down once the pipe drains.
 func (q *QP) Close() error {
 	q.sendMu.Lock()
-	old := q.state.Swap(stateClosed)
-	if old != stateClosed && q.pipe != nil {
+	err := q.rc.Close()
+	if err == nil {
 		close(q.pipe)
 	}
 	q.sendMu.Unlock()
-	if old == stateClosed {
-		return verbs.ErrQPClosed
+	if err != nil {
+		return err
 	}
-	q.sendMu.Lock()
-	parked := q.rdWait.Drain(nil)
-	q.sendMu.Unlock()
-	for _, m := range parked {
-		m.releaseData()
-	}
-	q.recvMu.Lock()
-	rq := q.recvQ.Drain(nil)
-	pend := q.pending.Drain(nil)
-	q.recvMu.Unlock()
-	for _, m := range pend {
-		m.releaseData()
-	}
-	for _, r := range rq {
-		r := r
-		q.recvCQ.Dispatch(0, verbs.WC{WRID: r.WRID, Status: verbs.StatusFlushed, Op: verbs.OpRecv, QP: q.id})
-	}
+	q.settle()
 	return nil
 }
 

@@ -2,8 +2,9 @@
 // verbs interface: every fabric (simulated, in-process, TCP-backed)
 // must exhibit the same semantics — data integrity, completion
 // statuses, queue capacity errors, work-request validation, ordering,
-// and teardown behavior. Each fabric's test file calls Run with a
-// factory for a connected device pair.
+// and teardown behavior, including the error and flush rule of
+// verbs.RCQP, which all three share. Each fabric's test file calls Run
+// with a factory for a connected device pair.
 package conformance
 
 import (
@@ -113,6 +114,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("WriteOrdering", func(t *testing.T) { testOrdering(t, factory(t)) })
 	t.Run("UnsignaledSend", func(t *testing.T) { testUnsignaled(t, factory(t)) })
 	t.Run("LargePayloadRoundTrip", func(t *testing.T) { testLargeRoundTrip(t, factory(t)) })
+	t.Run("PostRecvNoAlloc", func(t *testing.T) { testPostRecvNoAlloc(t, factory(t)) })
 }
 
 func testSendRecv(t *testing.T, p *Pair) {
@@ -267,6 +269,31 @@ func testAccessError(t *testing.T, p *Pair) {
 	}) {
 		t.Fatal("QP still usable after remote access error")
 	}
+
+	// The error flushes what is queued behind it: at initiator depth 1,
+	// two valid READs wait behind one to a bad rkey. The bad READ
+	// completes first, then both flush, in posting order, and nothing
+	// else completes.
+	e = newEnv(t, p, verbs.QPConfig{MaxSend: 32, MaxRecv: 32, MaxRDAtomic: 1})
+	rmr, _ := p.B.RegisterMR(e.pdB, make([]byte, 64), verbs.AccessRemoteRead)
+	lmr, _ := p.A.RegisterMR(e.pdA, make([]byte, 64), verbs.AccessLocalWrite)
+	bad := rmr.Remote(0)
+	bad.RKey++ // an lkey, never an rkey
+	for i, remote := range []verbs.RemoteAddr{bad, rmr.Remote(0), rmr.Remote(0)} {
+		if err := e.qpA.PostSend(&verbs.SendWR{WRID: uint64(30 + i), Op: verbs.OpRead,
+			Remote: remote, ReadLen: 64, Local: lmr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.settleCount(t, e.wcsA, 3)
+	for i, want := range []verbs.Status{verbs.StatusRemoteAccessError, verbs.StatusFlushed, verbs.StatusFlushed} {
+		if wc := e.wcsA.get(i); wc.WRID != uint64(30+i) || wc.Status != want {
+			t.Fatalf("READ completion %d: %+v, want WRID %d %v", i, wc, 30+i, want)
+		}
+	}
+	if n := e.wcsA.count(); n != 3 {
+		t.Fatalf("%d READ completions, want 3", n)
+	}
 }
 
 func testQueueCap(t *testing.T, p *Pair) {
@@ -347,6 +374,51 @@ func testCloseFlush(t *testing.T, p *Pair) {
 	}
 	if err := e.qpB.PostRecv(&verbs.RecvWR{WRID: 23, MR: mr, Len: 64}); err != verbs.ErrQPClosed {
 		t.Fatalf("post after close: %v", err)
+	}
+
+	// Close completes what the send queue owes: at initiator depth 1 the
+	// READs already released to the wire may still succeed, and the ones
+	// queued behind them flush. Each completes exactly once, and none
+	// succeeds after an earlier one flushed.
+	e = newEnv(t, p, verbs.QPConfig{MaxSend: 8, MaxRecv: 8, MaxRDAtomic: 1})
+	rmr, _ := p.B.RegisterMR(e.pdB, make([]byte, 64), verbs.AccessRemoteRead)
+	lmr, _ := p.A.RegisterMR(e.pdA, make([]byte, 64), verbs.AccessLocalWrite)
+	for i := 0; i < 3; i++ {
+		if err := e.qpA.PostSend(&verbs.SendWR{WRID: uint64(40 + i), Op: verbs.OpRead,
+			Remote: rmr.Remote(0), ReadLen: 64, Local: lmr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.qpA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.settleCount(t, e.wcsA, 3)
+	var seen, flushed [3]bool // by posting order
+	for i := 0; i < e.wcsA.count(); i++ {
+		wc := e.wcsA.get(i)
+		if wc.WRID < 40 || wc.WRID > 42 || seen[wc.WRID-40] ||
+			wc.Status != verbs.StatusSuccess && wc.Status != verbs.StatusFlushed {
+			t.Fatalf("READ completion %d after close: %+v", i, wc)
+		}
+		seen[wc.WRID-40], flushed[wc.WRID-40] = true, wc.Status == verbs.StatusFlushed
+	}
+	if flushed[0] && !flushed[1] || flushed[1] && !flushed[2] {
+		t.Fatalf("a READ succeeded after an earlier one flushed: flushed %v", flushed)
+	}
+
+	// A SEND parked at a responder with no receive posted is refused at
+	// its sender when the responder closes.
+	e = newEnv(t, p, verbs.QPConfig{MaxSend: 8, MaxRecv: 8})
+	if err := e.qpA.PostSend(&verbs.SendWR{WRID: 50, Op: verbs.OpSend, Data: []byte("parked")}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // a real-time fabric parks it by now
+	if err := e.qpB.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.settleCount(t, e.wcsA, 1)
+	if wc := e.wcsA.get(0); wc.WRID != 50 || wc.Status == verbs.StatusSuccess {
+		t.Fatalf("parked SEND after responder close: %+v", wc)
 	}
 }
 
@@ -446,6 +518,22 @@ func testLargeRoundTrip(t *testing.T, p *Pair) {
 	}
 	if !bytes.Equal(local, payload) {
 		t.Fatal("large read-back mismatch")
+	}
+}
+
+// testPostRecvNoAlloc: PostRecv copies the WR into the receive queue,
+// so posting a receive allocates nothing.
+func testPostRecvNoAlloc(t *testing.T, p *Pair) {
+	e := newEnv(t, p, verbs.QPConfig{MaxSend: 8, MaxRecv: 2048})
+	mr, _ := p.B.RegisterMR(e.pdB, make([]byte, 64), verbs.AccessLocalWrite)
+	wr := &verbs.RecvWR{MR: mr, Len: 64}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := e.qpB.PostRecv(wr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PostRecv allocates %v times per call", allocs)
 	}
 }
 

@@ -10,7 +10,9 @@
 // other fabrics; SENDs consume posted receives; READs round-trip a
 // request/response pair. Every data-bearing frame is acknowledged so
 // sender completions reflect remote placement (and carry remote access
-// errors), like RC ACKs.
+// errors), like RC ACKs. The queue-pair rules themselves are
+// verbs.RCQP's; when the connection is lost, every WR still awaiting its
+// ACK completes StatusFlushed.
 //
 // The data path is zero-copy in the verbs sense: PostSend references
 // the caller's buffer until the ACK completes the work request (verbs
@@ -35,6 +37,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -335,9 +338,10 @@ func (d *Device) Sync() {
 	d.mu.Unlock() //lint:ignore SA2001 see above
 }
 
-// Close tears the connection down; all QPs err out. Frames already
-// queued (for example the final session acknowledgment) are drained to
-// the socket first, bounded by a short deadline.
+// Close tears the connection down, so the peer's QPs err out; a WR this
+// side posts afterwards completes StatusFlushed. Frames already queued
+// (for example the final session acknowledgment) are drained to the
+// socket first, bounded by a short deadline.
 func (d *Device) Close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
@@ -547,7 +551,7 @@ func (d *Device) channelReady(ch uint32) bool {
 	d.mu.Lock()
 	qp, ok := d.channels[ch]
 	d.mu.Unlock()
-	return ok && qp.state.Load() == stateReady
+	return ok && qp.rc.Ready()
 }
 
 // discard consumes and drops n payload bytes.
@@ -559,7 +563,9 @@ func discard(r *bufio.Reader, n int) error {
 	return err
 }
 
-// teardown fails every bound QP after a connection error.
+// teardown fails every bound QP after a connection error. Nothing will
+// answer what is on the wire any more, so each WR still awaiting an ACK
+// completes StatusFlushed, in posting order; then each QP flushes.
 func (d *Device) teardown(err error) {
 	if d.closed.Load() {
 		return
@@ -577,8 +583,33 @@ func (d *Device) teardown(err error) {
 			putFrame(f)
 		}
 	}
+	// Failing each QP under its send lock orders every token a poster
+	// registers before the sweep below.
 	for _, qp := range qps {
-		qp.connectionLost()
+		qp.sendMu.Lock()
+		qp.rc.Fail()
+		qp.sendMu.Unlock()
+	}
+	d.mu.Lock()
+	toks := make([]uint64, 0, len(d.tokens))
+	for tok := range d.tokens {
+		toks = append(toks, tok)
+	}
+	slices.Sort(toks) // tokens count up in posting order
+	lost := make([]pendingToken, len(toks))
+	for i, tok := range toks {
+		lost[i] = d.tokens[tok]
+		delete(d.tokens, tok)
+	}
+	d.mu.Unlock()
+	for i := range lost {
+		qp := lost[i].qp
+		qp.sendMu.Lock()
+		qp.rc.Complete(&lost[i].wr, verbs.StatusFlushed)
+		qp.sendMu.Unlock()
+	}
+	for _, qp := range qps {
+		qp.settle()
 	}
 	if cb, _ := d.onClose.Load().(func(error)); cb != nil {
 		cb(err)
@@ -598,7 +629,7 @@ func (d *Device) dispatch(f *frame) {
 			putFrame(f)
 			return
 		}
-		pt.qp.remoteAck(pt.wr, f, pt.postedNs)
+		pt.qp.remoteAck(&pt.wr, f, pt.postedNs)
 		putFrame(f)
 	case frGoodbye:
 		putFrame(f)

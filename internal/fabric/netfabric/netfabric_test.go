@@ -245,6 +245,37 @@ func TestPeerCloseFailsQPs(t *testing.T) {
 	}
 }
 
+// TestPeerCloseCompletesOutstanding: a SEND the peer never acknowledged
+// (it parked there, no receive posted) completes non-success once the
+// peer's device closes, instead of waiting for an ACK that cannot come.
+func TestPeerCloseCompletesOutstanding(t *testing.T) {
+	a, b := pair(t)
+	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	t.Cleanup(func() { la.Stop(); lb.Stop() })
+	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
+	got := make(chan verbs.WC, 4)
+	cqA.SetHandler(func(wc verbs.WC) { got <- wc })
+	if err := qa.PostSend(&verbs.SendWR{WRID: 7, Op: verbs.OpSend, Data: []byte("stranded")}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for b.RNRStalls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("SEND never parked at the peer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b.Close()
+	select {
+	case wc := <-got:
+		if wc.WRID != 7 || wc.Status == verbs.StatusSuccess {
+			t.Fatalf("outstanding SEND after peer close: %+v", wc)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("outstanding SEND never completed after the peer closed")
+	}
+}
+
 // TestRFTPOverTCP runs the full protocol core across a real socket.
 func TestRFTPOverTCP(t *testing.T) {
 	client, server := pair(t)

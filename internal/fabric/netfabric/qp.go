@@ -2,63 +2,40 @@ package netfabric
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"rftp/internal/ringq"
 	"rftp/internal/verbs"
 )
 
-type qpState = int32
-
-const (
-	stateInit int32 = iota
-	stateReady
-	stateError
-	stateClosed
-)
-
-// QP is a queue pair bound to a channel of the device's TCP connection.
+// QP is a queue pair bound to a channel of the device's TCP connection:
+// the shared RC model (verbs.RCQP) carried by frames. A posted WR waits
+// in the model as a copy of itself until released; an arrival waits as
+// its frame.
 type QP struct {
 	dev     *Device
-	id      verbs.QPID
-	cfg     verbs.QPConfig
 	channel uint32
-	state   atomic.Int32
+	rc      verbs.RCQP[verbs.SendWR, *frame]
 
-	sendCQ *verbs.UpcallCQ
-	recvCQ *verbs.UpcallCQ
-
-	sendMu        sync.Mutex
-	sqOutstanding int
-	// READ initiator depth: posts beyond MaxRDAtomic park in rdWait
-	// (still consuming a send-queue slot) and go on the wire one at a
-	// time as earlier READs complete, matching hardware that queues
-	// rather than rejects past the negotiated depth.
-	rdOutstanding int
-	rdWait        ringq.Ring[*verbs.SendWR]
-
-	recvMu  sync.Mutex
-	recvQ   ringq.Ring[*verbs.RecvWR]
-	pending ringq.Ring[*frame] // SEND/WRITE_IMM frames awaiting a posted receive
+	// sendMu guards rc's send side and serializes transmission, so frames
+	// leave in posting order; recvMu guards rc's receive side. Neither is
+	// held while taking the other.
+	sendMu   sync.Mutex
+	recvMu   sync.Mutex
+	settleFn func() // settle, bound once so receive paths allocate nothing
 }
 
 // CreateQP implements verbs.Device.
 func (d *Device) CreateQP(cfg verbs.QPConfig) (verbs.QP, error) {
-	if cfg.Type != verbs.RC {
-		return nil, verbs.ErrBadWR
+	qp := &QP{dev: d}
+	if err := qp.rc.Init(cfg); err != nil {
+		return nil, err
 	}
-	cfg = cfg.Normalize()
-	sendCQ, ok1 := cfg.SendCQ.(*verbs.UpcallCQ)
-	recvCQ, ok2 := cfg.RecvCQ.(*verbs.UpcallCQ)
-	if !ok1 || !ok2 {
-		return nil, verbs.ErrBadWR
-	}
+	qp.settleFn = qp.settle
 	d.mu.Lock()
 	d.nextQP++
-	id := d.nextQP
+	qp.rc.ID = d.nextQP
 	d.mu.Unlock()
-	return &QP{dev: d, id: id, cfg: cfg, sendCQ: sendCQ, recvCQ: recvCQ}, nil
+	return qp, nil
 }
 
 // BindQP attaches a QP to a channel id. Both peers must bind matching
@@ -77,7 +54,7 @@ func (d *Device) BindQP(q verbs.QP, channel uint32) error {
 		return verbs.ErrBadWR
 	}
 	qp.channel = channel
-	qp.state.Store(stateReady)
+	qp.rc.Connect()
 	d.channels[channel] = qp
 	early := d.parked[channel]
 	delete(d.parked, channel)
@@ -93,55 +70,45 @@ func (d *Device) BindQP(q verbs.QP, channel uint32) error {
 }
 
 // ID implements verbs.QP.
-func (q *QP) ID() verbs.QPID { return q.id }
+func (q *QP) ID() verbs.QPID { return q.rc.ID }
 
 // PostSend implements verbs.QP. The payload is NOT copied: the frame
 // references wr.Data until it reaches the socket, honoring verbs
 // ownership semantics (the caller owns the buffer again only when the
 // completion fires).
 func (q *QP) PostSend(wr *verbs.SendWR) error {
-	switch q.state.Load() {
-	case stateClosed:
-		return verbs.ErrQPClosed
-	case stateError:
-		return verbs.ErrQPError
-	case stateInit:
-		return verbs.ErrNotConnected
+	if err := q.rc.CheckSend(wr); err != nil {
+		return err
 	}
 	if wr.ModelBytes != 0 {
 		return verbs.ErrModelBytes
 	}
-	switch wr.Op {
-	case verbs.OpSend, verbs.OpWrite, verbs.OpWriteImm:
-		if wr.Length() <= 0 {
-			return verbs.ErrBadWR
-		}
-	case verbs.OpRead:
-		if wr.ReadLen <= 0 || wr.Local == nil || wr.LocalOffset < 0 ||
-			wr.LocalOffset+wr.ReadLen > wr.Local.Len {
-			return verbs.ErrBadWR
-		}
-	default:
-		return verbs.ErrBadWR
-	}
 	q.sendMu.Lock()
-	if q.sqOutstanding >= q.cfg.MaxSend {
-		q.sendMu.Unlock()
-		return verbs.ErrSendQueueFull
-	}
-	q.sqOutstanding++
-	if wr.Op == verbs.OpRead {
-		if q.rdOutstanding >= q.cfg.MaxRDAtomic {
-			cp := *wr
-			q.rdWait.Push(&cp)
-			q.sendMu.Unlock()
-			q.dev.Telemetry.Posted(wr.Op, 0)
-			return nil
-		}
-		q.rdOutstanding++
-	}
+	err := q.rc.Post(*wr, wr)
+	q.kick()
 	q.sendMu.Unlock()
+	if err != nil {
+		return err
+	}
+	q.dev.Telemetry.Posted(wr.Op, 0) // wire bytes counted at the framing layer
+	if wr.Op == verbs.OpSend {
+		q.dev.Telemetry.Ctrl(len(wr.Data))
+	}
+	return nil
+}
 
+// kick puts every WR the send queue releases on the wire, in posting
+// order (once the QP has failed or closed, it flushes them instead).
+// Runs under sendMu.
+func (q *QP) kick() {
+	for wr, ok := q.rc.Next(); ok; wr, ok = q.rc.Next() {
+		q.transmit(&wr)
+	}
+}
+
+// transmit frames a released WR and queues it for the writer. The ACK
+// (or READ response) finds the WR again by the frame's token.
+func (q *QP) transmit(wr *verbs.SendWR) {
 	var postedNs int64
 	if q.dev.Telemetry != nil {
 		postedNs = time.Now().UnixNano()
@@ -168,90 +135,41 @@ func (q *QP) PostSend(wr *verbs.SendWR) error {
 		f.imm = uint32(wr.ReadLen)
 	}
 	if !q.dev.send(f) {
+		// The device is closing: nothing will answer this WR.
 		putFrame(f)
-		q.dropToken(tok, wr.Op)
-		return verbs.ErrQPClosed
-	}
-	q.dev.Telemetry.Posted(wr.Op, 0) // wire bytes counted at the framing layer
-	if wr.Op == verbs.OpSend {
-		q.dev.Telemetry.Ctrl(len(wr.Data))
-	}
-	return nil
-}
-
-func (q *QP) dropToken(tok uint64, op verbs.Opcode) {
-	q.dev.mu.Lock()
-	delete(q.dev.tokens, tok)
-	q.dev.mu.Unlock()
-	q.sendMu.Lock()
-	q.sqOutstanding--
-	if op == verbs.OpRead {
-		q.rdOutstanding--
-	}
-	q.sendMu.Unlock()
-}
-
-// issueRead puts a previously parked READ on the wire. Called with no
-// locks held; the caller has already moved rdOutstanding to cover it.
-func (q *QP) issueRead(wr *verbs.SendWR) {
-	var postedNs int64
-	if q.dev.Telemetry != nil {
-		postedNs = time.Now().UnixNano()
-	}
-	tok := q.dev.registerToken(q, wr, postedNs)
-	f := getFrame()
-	f.channel, f.token = q.channel, tok
-	f.postedNs = postedNs
-	f.op = frReadReq
-	f.addr, f.rkey = wr.Remote.Addr, wr.Remote.RKey
-	f.imm = uint32(wr.ReadLen)
-	if !q.dev.send(f) {
-		putFrame(f)
-		q.dropToken(tok, verbs.OpRead)
-		if !wr.NoCompletion {
-			q.sendCQ.Dispatch(0, verbs.WC{WRID: wr.WRID, Status: verbs.StatusAborted, Op: verbs.OpRead, QP: q.id})
-		}
+		q.dev.mu.Lock()
+		delete(q.dev.tokens, tok)
+		q.dev.mu.Unlock()
+		q.rc.Complete(wr, verbs.StatusFlushed)
 	}
 }
 
-// PostRecv implements verbs.QP.
+// PostRecv implements verbs.QP. Parked arrivals are delivered on the
+// receive loop.
 func (q *QP) PostRecv(wr *verbs.RecvWR) error {
-	switch q.state.Load() {
-	case stateClosed:
-		return verbs.ErrQPClosed
-	case stateError:
-		return verbs.ErrQPError
-	}
-	if wr.MR == nil || wr.Len <= 0 || wr.Offset < 0 || wr.Offset+wr.Len > wr.MR.Len {
-		return verbs.ErrBadWR
-	}
-	cp := *wr
 	q.recvMu.Lock()
-	if q.recvQ.Len() >= q.cfg.MaxRecv {
-		q.recvMu.Unlock()
-		return verbs.ErrRecvQueueFull
-	}
-	q.recvQ.Push(&cp)
+	err := q.rc.PostRecv(wr)
 	q.recvMu.Unlock()
-	q.recvCQ.Loop().Post(0, q.drainPending)
-	return nil
+	if err == nil {
+		q.rc.RecvCQ.Loop().Post(0, q.settleFn)
+	}
+	return err
 }
 
 // inbound handles a data-bearing frame from the peer. Runs on the
-// device reader goroutine; receive-path work is posted to the recv loop.
+// device reader goroutine; receive completions are delivered on the
+// recv loop.
 func (q *QP) inbound(f *frame) {
-	if q.state.Load() != stateReady {
+	if !q.rc.Ready() {
 		q.ackTo(f, wsAccess)
 		putFrame(f)
 		return
 	}
 	switch f.op {
-	case frWrite:
-		q.applyWrite(f, false)
-	case frWriteImm:
-		q.applyWrite(f, true)
+	case frWrite, frWriteImm:
+		q.applyWrite(f)
 	case frSend:
-		q.recvCQ.Loop().Post(0, func() { q.parkFrame(f) })
+		q.park(f, verbs.OpSend)
 	case frReadReq:
 		q.serveRead(f)
 		putFrame(f)
@@ -265,77 +183,70 @@ func (q *QP) inbound(f *frame) {
 // the staged path (frames parked before BindQP) places it here. Either
 // way the payload is released before any RNR parking, so stalled
 // WRITE_IMM frames pin no memory.
-func (q *QP) applyWrite(f *frame, imm bool) {
+func (q *QP) applyWrite(f *frame) {
+	if !f.placed && !f.placeErr {
+		if _, _, err := q.dev.space.Place(verbs.RemoteAddr{Addr: f.addr, RKey: f.rkey}, f.payload, 0); err != nil {
+			f.placeErr = true
+		} else {
+			f.placed = true
+			f.releasePayload()
+		}
+	}
 	if f.placeErr {
+		q.fail()
 		q.ackTo(f, wsAccess)
 		putFrame(f)
 		return
 	}
-	if !f.placed {
-		if _, _, err := q.dev.space.Place(verbs.RemoteAddr{Addr: f.addr, RKey: f.rkey}, f.payload, 0); err != nil {
-			q.ackTo(f, wsAccess)
-			putFrame(f)
-			return
-		}
-		f.placed = true
-		f.releasePayload()
-	}
-	if imm {
-		q.recvCQ.Loop().Post(0, func() { q.parkFrame(f) })
-		return // ACK after the imm notification consumes a receive
+	if f.op == frWriteImm {
+		q.park(f, verbs.OpWriteImm) // ACK after the imm notification consumes a receive
+		return
 	}
 	q.ackTo(f, wsOK)
 	putFrame(f)
 }
 
-// parkFrame queues a receive-consuming frame and drains.
-func (q *QP) parkFrame(f *frame) {
+// park queues a receive-consuming frame for the recv loop to deliver.
+func (q *QP) park(f *frame, op verbs.Opcode) {
 	q.recvMu.Lock()
-	q.pending.Push(f)
-	stalled := q.recvQ.Len() == 0
+	rnr := q.rc.Park(f, op, f.payload, f.paylen, f.imm)
 	q.recvMu.Unlock()
-	if stalled {
+	if rnr {
 		q.dev.RNRStalls.Add(1)
 		q.dev.Telemetry.RNR()
 	}
-	q.drainPending()
+	q.rc.RecvCQ.Loop().Post(0, q.settleFn)
 }
 
-func (q *QP) drainPending() {
+// settle answers every arrival the receive queue is done with and, once
+// the QP has failed or closed, flushes the send queue too. In service it
+// runs on the recv loop only, which keeps the ACKs in order.
+func (q *QP) settle() {
 	for {
 		q.recvMu.Lock()
-		if q.pending.Len() == 0 || q.recvQ.Len() == 0 {
-			q.recvMu.Unlock()
-			return
-		}
-		f, _ := q.pending.Pop()
-		rwr, _ := q.recvQ.Pop()
+		f, st, ok := q.rc.Deliver()
 		q.recvMu.Unlock()
-
-		if f.op == frWriteImm {
-			q.recvCQ.Dispatch(0, verbs.WC{
-				WRID: rwr.WRID, Status: verbs.StatusSuccess, Op: verbs.OpWriteImm,
-				ByteLen: f.paylen, Imm: f.imm, QP: q.id,
-			})
-			q.ackTo(f, wsOK)
-			putFrame(f)
-			continue
+		if !ok {
+			break
 		}
-		if f.paylen > rwr.Len {
-			q.ackTo(f, wsAccess)
-			putFrame(f)
-			q.enterError()
-			return
+		ws := uint8(wsOK)
+		if st != verbs.StatusSuccess {
+			ws = wsAccess
 		}
-		rwr.MR.PlaceLocal(rwr.Offset, f.payload)
-		q.recvCQ.Dispatch(0, verbs.WC{
-			WRID: rwr.WRID, Status: verbs.StatusSuccess, Op: verbs.OpRecv,
-			ByteLen: f.paylen, Imm: f.imm,
-			Data: rwr.MR.ViewLocal(rwr.Offset, f.paylen), QP: q.id,
-		})
-		q.ackTo(f, wsOK)
+		q.ackTo(f, ws)
 		putFrame(f) // returns the staging buffer to the pool
 	}
+	if !q.rc.Ready() {
+		q.sendMu.Lock()
+		q.kick()
+		q.sendMu.Unlock()
+	}
+}
+
+// fail moves the QP to Error and flushes it.
+func (q *QP) fail() {
+	q.rc.Fail()
+	q.settle()
 }
 
 // serveRead answers an inbound READ request. The response payload
@@ -347,6 +258,7 @@ func (q *QP) serveRead(f *frame) {
 	resp := getFrame()
 	resp.op, resp.channel, resp.token = frReadResp, q.channel, f.token
 	if err != nil {
+		q.fail()
 		resp.status = wsAccess
 	} else {
 		resp.payload = view
@@ -368,76 +280,38 @@ func (q *QP) ackTo(f *frame, status uint8) {
 // remoteAck completes a sent WR after the peer's ACK/READ response.
 // Runs on the device reader goroutine. postedNs is the wire-entry stamp
 // carried by the pending token (0 when telemetry is detached).
-func (q *QP) remoteAck(wr verbs.SendWR, f *frame, postedNs int64) {
-	q.sendMu.Lock()
-	q.sqOutstanding--
-	var next *verbs.SendWR
-	if wr.Op == verbs.OpRead {
-		q.rdOutstanding--
-		if q.rdWait.Len() > 0 && q.state.Load() == stateReady {
-			next, _ = q.rdWait.Pop()
-			q.rdOutstanding++
-		}
-	}
-	q.sendMu.Unlock()
-	if next != nil {
-		q.issueRead(next)
-	}
+func (q *QP) remoteAck(wr *verbs.SendWR, f *frame, postedNs int64) {
 	q.dev.Telemetry.Completed(wr.Op)
 	if postedNs != 0 {
 		q.dev.Telemetry.WireRTT(time.Duration(time.Now().UnixNano() - postedNs))
 	}
 	status := frameStatusToVerbs(f.status)
-	byteLen := wr.Length()
-	if wr.Op == verbs.OpRead {
-		byteLen = wr.ReadLen
-		if status == verbs.StatusSuccess && wr.Local != nil && !f.placed {
-			// Fallback: the response was staged (e.g. a truncated or
-			// oversized reply); place it now.
-			wr.Local.PlaceLocal(wr.LocalOffset, f.payload)
-		}
+	if wr.Op == verbs.OpRead && status == verbs.StatusSuccess && wr.Local != nil && !f.placed {
+		// Fallback: the response was staged (e.g. a truncated or
+		// oversized reply); place it now.
+		wr.Local.PlaceLocal(wr.LocalOffset, f.payload)
 	}
+	q.finish(wr, status)
+}
+
+// finish retires a WR the wire is done with and releases whatever its
+// completion frees (a READ's depth) onto the wire.
+func (q *QP) finish(wr *verbs.SendWR, status verbs.Status) {
+	q.sendMu.Lock()
+	q.rc.Complete(wr, status)
+	q.kick()
+	q.sendMu.Unlock()
 	if status != verbs.StatusSuccess {
-		q.enterError()
-	} else if wr.NoCompletion {
-		return
-	}
-	q.sendCQ.Dispatch(0, verbs.WC{
-		WRID: wr.WRID, Status: status, Op: wr.Op, ByteLen: byteLen, QP: q.id,
-	})
-}
-
-// connectionLost fails the QP after a transport error.
-func (q *QP) connectionLost() {
-	if q.state.CompareAndSwap(stateReady, stateError) {
-		q.flushRecvs()
-	}
-}
-
-func (q *QP) enterError() {
-	q.state.CompareAndSwap(stateReady, stateError)
-}
-
-func (q *QP) flushRecvs() {
-	q.recvMu.Lock()
-	rq := q.recvQ.Drain(nil)
-	pend := q.pending.Drain(nil)
-	q.recvMu.Unlock()
-	for _, f := range pend {
-		putFrame(f)
-	}
-	for _, r := range rq {
-		q.recvCQ.Dispatch(0, verbs.WC{WRID: r.WRID, Status: verbs.StatusFlushed, Op: verbs.OpRecv, QP: q.id})
+		q.settle()
 	}
 }
 
 // Close implements verbs.QP.
 func (q *QP) Close() error {
-	old := q.state.Swap(stateClosed)
-	if old == stateClosed {
-		return verbs.ErrQPClosed
+	if err := q.rc.Close(); err != nil {
+		return err
 	}
-	q.flushRecvs()
+	q.settle()
 	return nil
 }
 

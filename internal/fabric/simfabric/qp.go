@@ -7,53 +7,14 @@ import (
 	"rftp/internal/verbs"
 )
 
-type qpState uint8
-
-const (
-	stateInit qpState = iota
-	stateReady
-	stateError
-	stateClosed
-)
-
-// QP is a simulated reliably-connected queue pair.
+// QP is a simulated reliably-connected queue pair: the shared RC model
+// (verbs.RCQP) moved in virtual time. Everything runs on the scheduler
+// goroutine, so nothing here locks.
 type QP struct {
 	fabric *Fabric
 	dev    *Device
-	id     verbs.QPID
-	cfg    verbs.QPConfig
 	peer   *QP
-	state  qpState
-
-	sendCQ *verbs.UpcallCQ
-	recvCQ *verbs.UpcallCQ
-
-	// Send side.
-	sq               []*message // not yet on the wire (stalled behind READ limits)
-	sqOutstanding    int        // posted and not yet completed
-	outstandingReads int
-
-	// Receive side.
-	recvQ    []*verbs.RecvWR
-	recvFree []*verbs.RecvWR // recycled receive WR snapshots
-	pending  []*message      // arrivals waiting for a posted receive (FIFO)
-}
-
-// takeRecv returns a recycled receive-WR snapshot (or a fresh one).
-func (q *QP) takeRecv() *verbs.RecvWR {
-	if n := len(q.recvFree); n > 0 {
-		r := q.recvFree[n-1]
-		q.recvFree[n-1] = nil
-		q.recvFree = q.recvFree[:n-1]
-		return r
-	}
-	return &verbs.RecvWR{}
-}
-
-// putRecv recycles a consumed receive-WR snapshot.
-func (q *QP) putRecv(r *verbs.RecvWR) {
-	*r = verbs.RecvWR{}
-	q.recvFree = append(q.recvFree, r)
+	rc     verbs.RCQP[*message, *message]
 }
 
 // message is an in-flight work request (a snapshot of the posted WR).
@@ -64,7 +25,7 @@ type message struct {
 	from      *QP
 	to        *QP // peer NIC the message is in flight toward
 	rnrLeft   int
-	delivered bool
+	delivered bool // answered at the sender: delivered, refused or given up on
 	rnrArmed  bool // an RNR timer was scheduled; message is never recycled
 	// compStatus carries the sender-side completion status across the
 	// ACK propagation delay.
@@ -88,25 +49,13 @@ func runFinishSend(a any) {
 
 // CreateQP implements verbs.Device.
 func (d *Device) CreateQP(cfg verbs.QPConfig) (verbs.QP, error) {
-	if cfg.Type != verbs.RC {
-		return nil, verbs.ErrBadWR
-	}
-	cfg = cfg.Normalize()
-	sendCQ, ok1 := cfg.SendCQ.(*verbs.UpcallCQ)
-	recvCQ, ok2 := cfg.RecvCQ.(*verbs.UpcallCQ)
-	if !ok1 || !ok2 {
-		return nil, verbs.ErrBadWR
+	qp := &QP{fabric: d.fabric, dev: d}
+	if err := qp.rc.Init(cfg); err != nil {
+		return nil, err
 	}
 	d.fabric.nextQP++
-	qp := &QP{
-		fabric: d.fabric,
-		dev:    d,
-		id:     d.fabric.nextQP,
-		cfg:    cfg,
-		sendCQ: sendCQ,
-		recvCQ: recvCQ,
-	}
-	d.fabric.qps[qp.id] = qp
+	qp.rc.ID = d.fabric.nextQP
+	qp.rc.Cost = d.chargeCompletion
 	return qp, nil
 }
 
@@ -121,18 +70,16 @@ func (f *Fabric) ConnectQPs(a, b verbs.QP) error {
 		return verbs.ErrNotConnected
 	}
 	qa.peer, qb.peer = qb, qa
-	qa.state, qb.state = stateReady, stateReady
+	qa.rc.Connect()
+	qb.rc.Connect()
 	return nil
 }
 
 // ID implements verbs.QP.
-func (q *QP) ID() verbs.QPID { return q.id }
-
-// Device returns the device the QP lives on.
-func (q *QP) Device() *Device { return q.dev }
+func (q *QP) ID() verbs.QPID { return q.rc.ID }
 
 func (q *QP) chargeCaller(cost time.Duration) {
-	if t, ok := q.sendCQ.Loop().(*hostmodel.Thread); ok {
+	if t, ok := q.rc.SendCQ.Loop().(*hostmodel.Thread); ok {
 		t.Charge(cost)
 	}
 }
@@ -140,83 +87,51 @@ func (q *QP) chargeCaller(cost time.Duration) {
 // PostSend implements verbs.QP. The posting CPU cost is billed to the
 // send CQ's loop thread (the protocol always posts from that thread).
 func (q *QP) PostSend(wr *verbs.SendWR) error {
-	switch q.state {
-	case stateClosed:
-		return verbs.ErrQPClosed
-	case stateError:
-		return verbs.ErrQPError
-	case stateInit:
-		return verbs.ErrNotConnected
+	if err := q.rc.CheckSend(wr); err != nil {
+		return err
 	}
-	switch wr.Op {
-	case verbs.OpSend, verbs.OpWrite, verbs.OpWriteImm:
-		if wr.Length() <= 0 {
-			return verbs.ErrBadWR
-		}
-	case verbs.OpRead:
-		if wr.ReadLen <= 0 || wr.Local == nil {
-			return verbs.ErrBadWR
-		}
-		if wr.LocalOffset < 0 || wr.LocalOffset+wr.ReadLen > wr.Local.Len {
-			return verbs.ErrBadWR
-		}
-	default:
-		return verbs.ErrBadWR
-	}
-	if q.sqOutstanding >= q.cfg.MaxSend {
-		return verbs.ErrSendQueueFull
-	}
-	q.sqOutstanding++
-	q.chargeCaller(q.dev.chargePost())
 	m := q.fabric.takeMessage()
 	m.wr = *wr
 	m.from = q
-	m.rnrLeft = q.cfg.RNRRetry
+	m.rnrLeft = q.rc.Cfg.RNRRetry
 	m.postedAt = q.fabric.sched.Now()
-	q.sq = append(q.sq, m)
-	q.kickSQ()
+	if err := q.rc.Post(m, wr); err != nil {
+		q.fabric.putMessage(m)
+		return err
+	}
+	q.chargeCaller(q.dev.chargePost())
+	q.settle()
 	return nil
 }
 
 // PostRecv implements verbs.QP.
 func (q *QP) PostRecv(wr *verbs.RecvWR) error {
-	switch q.state {
-	case stateClosed:
-		return verbs.ErrQPClosed
-	case stateError:
-		return verbs.ErrQPError
+	if err := q.rc.PostRecv(wr); err != nil {
+		return err
 	}
-	if wr.MR == nil || wr.Len <= 0 || wr.Offset < 0 || wr.Offset+wr.Len > wr.MR.Len {
-		return verbs.ErrBadWR
-	}
-	if len(q.recvQ) >= q.cfg.MaxRecv {
-		return verbs.ErrRecvQueueFull
-	}
-	cp := q.takeRecv()
-	*cp = *wr
-	q.recvQ = append(q.recvQ, cp)
 	q.chargeCaller(q.dev.chargePost())
 	// An already-arrived message may be waiting for this buffer.
-	q.drainPending()
+	q.settle()
 	return nil
 }
 
-// kickSQ starts transmission of queued WRs in order. Everything except
-// READs stalled on the initiator depth limit goes onto the wire
-// immediately (the egress port serializes in virtual time). A stalled
-// READ blocks later WRs: the RC send queue is ordered.
-func (q *QP) kickSQ() {
-	for len(q.sq) > 0 {
-		m := q.sq[0]
-		if m.wr.Op == verbs.OpRead {
-			if q.outstandingReads >= q.cfg.MaxRDAtomic {
-				return
-			}
-			q.outstandingReads++
-		}
-		q.sq = q.sq[1:]
+// settle runs both queues after anything that may have moved them:
+// arrivals the receive queue is done with are answered, and the send
+// queue releases what it can onto the wire (or, once the QP has failed
+// or closed, flushes everything).
+func (q *QP) settle() {
+	for m, st, ok := q.rc.Deliver(); ok; m, st, ok = q.rc.Deliver() {
+		q.answer(m, st)
+	}
+	for m, ok := q.rc.Next(); ok; m, ok = q.rc.Next() {
 		q.transmit(m)
 	}
+}
+
+// fail moves the QP to Error and flushes it.
+func (q *QP) fail() {
+	q.rc.Fail()
+	q.settle()
 }
 
 // transmit serializes the message onto the egress port and schedules its
@@ -258,32 +173,17 @@ func (q *QP) completeSend(m *message, status verbs.Status) {
 // finishSend runs at ACK arrival: it reaps the send, dispatches the
 // completion, and recycles the message.
 func (q *QP) finishSend(m *message) {
-	status := m.compStatus
-	q.sqOutstanding--
 	q.dev.Telemetry.Completed(m.wr.Op)
 	q.dev.Telemetry.WireRTT(q.fabric.sched.Now() - m.postedAt)
-	dispatch := true
-	if status != verbs.StatusSuccess {
-		q.enterError()
-	} else if m.wr.NoCompletion {
-		dispatch = false
-	}
-	if dispatch {
-		q.sendCQ.Dispatch(q.dev.chargeCompletion(q.sendCQ.Loop()), verbs.WC{
-			WRID:    m.wr.WRID,
-			Status:  status,
-			Op:      m.wr.Op,
-			ByteLen: m.wr.Length(),
-			QP:      q.id,
-		})
-	}
+	q.rc.Complete(&m.wr, m.compStatus)
 	q.fabric.putMessage(m)
+	q.settle()
 }
 
 // arrive is the peer NIC's handling of an inbound message. Runs in NIC
 // context (scheduler event; no host CPU except completion dispatches).
 func (q *QP) arrive(m *message) {
-	if q.state == stateClosed || q.state == stateError {
+	if !q.rc.Ready() {
 		// Receiver is gone: NAK back to the sender.
 		if m.wr.Op == verbs.OpRead {
 			m.from.readCompleted(m, nil, verbs.StatusAborted)
@@ -299,10 +199,10 @@ func (q *QP) arrive(m *message) {
 		}
 	case verbs.OpWriteImm:
 		if q.placeWrite(m) {
-			q.enqueueDelivery(m)
+			q.park(m)
 		}
 	case verbs.OpSend:
-		q.enqueueDelivery(m)
+		q.park(m)
 	case verbs.OpRead:
 		q.handleReadRequest(m)
 	}
@@ -313,7 +213,7 @@ func (q *QP) arrive(m *message) {
 func (q *QP) placeWrite(m *message) bool {
 	d := q.dev
 	if _, _, err := d.space.Place(m.wr.Remote, m.wr.Data, m.wr.ModelBytes); err != nil {
-		q.enterError()
+		q.fail()
 		m.from.completeSend(m, verbs.StatusRemoteAccessError)
 		return false
 	}
@@ -323,106 +223,48 @@ func (q *QP) placeWrite(m *message) bool {
 	return true
 }
 
-// enqueueDelivery routes a receive-consuming arrival (SEND or the
-// notification half of WRITE_WITH_IMM) through the RNR state machine.
-func (q *QP) enqueueDelivery(m *message) {
-	q.pending = append(q.pending, m)
-	if len(q.recvQ) > 0 {
-		q.drainPending()
+// park routes a receive-consuming arrival (SEND or the notification half
+// of WRITE_WITH_IMM) through the RNR state machine.
+func (q *QP) park(m *message) {
+	if q.rc.Park(m, m.wr.Op, m.wr.Data, m.wr.Length(), m.wr.Imm) {
+		q.scheduleRNRRetry(m)
 		return
 	}
-	q.scheduleRNRRetry(m)
+	q.settle()
+}
+
+// answer completes a receive-consuming arrival at its sender once the
+// receive queue is done with it.
+func (q *QP) answer(m *message, st verbs.Status) {
+	if st == verbs.StatusSuccess && m.wr.Op == verbs.OpSend {
+		q.dev.RxWRs++
+		q.dev.RxBytes += uint64(m.wr.Length())
+		q.dev.Telemetry.Rx(m.wr.Length())
+	}
+	m.delivered = true
+	m.from.completeSend(m, st)
 }
 
 // scheduleRNRRetry models the receiver-not-ready NAK/retry loop: each
 // retry waits RNRTimer; when the budget is exhausted the message is
-// dropped and the sender completes with StatusRNRRetryExceeded.
+// dropped and the sender completes with StatusRNRRetryExceeded. A
+// message answered in the meantime (a receive was posted, or the QP
+// failed or closed) ends the loop.
 func (q *QP) scheduleRNRRetry(m *message) {
 	q.dev.RNRNaks++
 	q.dev.Telemetry.RNR()
 	if m.rnrLeft <= 0 {
-		for i, p := range q.pending {
-			if p == m {
-				q.pending = append(q.pending[:i], q.pending[i+1:]...)
-				break
-			}
-		}
+		q.rc.Unpark()
 		m.from.completeSend(m, verbs.StatusRNRRetryExceeded)
 		return
 	}
 	m.rnrLeft--
 	m.rnrArmed = true
 	q.fabric.sched.After(q.dev.profile.RNRTimer, func() {
-		if m.delivered || q.state != stateReady {
-			return
+		if !m.delivered {
+			q.scheduleRNRRetry(m)
 		}
-		if len(q.recvQ) > 0 {
-			q.drainPending()
-			return
-		}
-		q.scheduleRNRRetry(m)
 	})
-}
-
-// drainPending delivers queued arrivals in order while receives are
-// available.
-func (q *QP) drainPending() {
-	for len(q.pending) > 0 && len(q.recvQ) > 0 {
-		m := q.pending[0]
-		q.pending = q.pending[1:]
-		m.delivered = true
-		if m.wr.Op == verbs.OpWriteImm {
-			q.deliverImmNotify(m)
-		} else {
-			q.deliverSend(m)
-		}
-	}
-}
-
-// deliverSend places a SEND into the next posted receive buffer.
-func (q *QP) deliverSend(m *message) {
-	d := q.dev
-	rwr := q.recvQ[0]
-	q.recvQ = q.recvQ[1:]
-	if m.wr.Length() > rwr.Len {
-		// Receive buffer too small: fatal on a reliable connection.
-		q.enterError()
-		m.from.completeSend(m, verbs.StatusRemoteAccessError)
-		return
-	}
-	rwr.MR.PlaceLocal(rwr.Offset, m.wr.Data)
-	d.RxWRs++
-	d.RxBytes += uint64(m.wr.Length())
-	d.Telemetry.Rx(m.wr.Length())
-	q.recvCQ.Dispatch(d.chargeCompletion(q.recvCQ.Loop()), verbs.WC{
-		WRID:    rwr.WRID,
-		Status:  verbs.StatusSuccess,
-		Op:      verbs.OpRecv,
-		ByteLen: m.wr.Length(),
-		Imm:     m.wr.Imm,
-		Data:    rwr.MR.ViewLocal(rwr.Offset, len(m.wr.Data)),
-		QP:      q.id,
-	})
-	q.putRecv(rwr)
-	m.from.completeSend(m, verbs.StatusSuccess)
-}
-
-// deliverImmNotify consumes a receive for the immediate notification of
-// an already-placed RDMA WRITE WITH IMMEDIATE.
-func (q *QP) deliverImmNotify(m *message) {
-	d := q.dev
-	rwr := q.recvQ[0]
-	q.recvQ = q.recvQ[1:]
-	q.recvCQ.Dispatch(d.chargeCompletion(q.recvCQ.Loop()), verbs.WC{
-		WRID:    rwr.WRID,
-		Status:  verbs.StatusSuccess,
-		Op:      verbs.OpWriteImm,
-		ByteLen: m.wr.Length(),
-		Imm:     m.wr.Imm,
-		QP:      q.id,
-	})
-	q.putRecv(rwr)
-	m.from.completeSend(m, verbs.StatusSuccess)
 }
 
 // handleReadRequest serves an inbound RDMA READ at the responder NIC. No
@@ -436,7 +278,7 @@ func (q *QP) handleReadRequest(m *message) {
 	}
 	_, view, err := d.space.Fetch(m.wr.Remote, m.wr.ReadLen)
 	if err != nil {
-		q.enterError()
+		q.fail()
 		m.from.readCompleted(m, nil, verbs.StatusRemoteAccessError)
 		return
 	}
@@ -473,8 +315,6 @@ func (q *QP) handleReadRequest(m *message) {
 
 // readCompleted lands READ response data at the initiator.
 func (q *QP) readCompleted(m *message, data []byte, status verbs.Status) {
-	q.sqOutstanding--
-	q.outstandingReads--
 	q.dev.Telemetry.Completed(verbs.OpRead)
 	q.dev.Telemetry.WireRTT(q.fabric.sched.Now() - m.postedAt)
 	if status == verbs.StatusSuccess && m.wr.Local != nil {
@@ -483,56 +323,17 @@ func (q *QP) readCompleted(m *message, data []byte, status verbs.Status) {
 		q.dev.RxBytes += uint64(m.wr.ReadLen)
 		q.dev.Telemetry.Rx(m.wr.ReadLen)
 	}
-	if status != verbs.StatusSuccess {
-		q.enterError()
-	}
-	if status != verbs.StatusSuccess || !m.wr.NoCompletion {
-		q.sendCQ.Dispatch(q.dev.chargeCompletion(q.sendCQ.Loop()), verbs.WC{
-			WRID:    m.wr.WRID,
-			Status:  status,
-			Op:      verbs.OpRead,
-			ByteLen: m.wr.ReadLen,
-			QP:      q.id,
-		})
-	}
+	q.rc.Complete(&m.wr, status)
 	q.fabric.putMessage(m)
-	q.kickSQ()
-}
-
-// enterError moves the QP to the error state and flushes queued work.
-func (q *QP) enterError() {
-	if q.state == stateError || q.state == stateClosed {
-		return
-	}
-	q.state = stateError
-	q.flushQueued()
-}
-
-// flushQueued completes all queued, untransmitted work with
-// StatusFlushed.
-func (q *QP) flushQueued() {
-	sq := q.sq
-	q.sq = nil
-	for _, m := range sq {
-		q.sqOutstanding--
-		q.sendCQ.Dispatch(0, verbs.WC{WRID: m.wr.WRID, Status: verbs.StatusFlushed, Op: m.wr.Op, QP: q.id})
-		q.fabric.putMessage(m)
-	}
-	rq := q.recvQ
-	q.recvQ = nil
-	for _, r := range rq {
-		q.recvCQ.Dispatch(0, verbs.WC{WRID: r.WRID, Status: verbs.StatusFlushed, Op: verbs.OpRecv, QP: q.id})
-		q.putRecv(r)
-	}
+	q.settle()
 }
 
 // Close implements verbs.QP.
 func (q *QP) Close() error {
-	if q.state == stateClosed {
-		return verbs.ErrQPClosed
+	if err := q.rc.Close(); err != nil {
+		return err
 	}
-	q.flushQueued()
-	q.state = stateClosed
+	q.settle()
 	return nil
 }
 

@@ -6,9 +6,10 @@
 //   - wire serialization at the NIC egress port (rate, MTU framing
 //     overhead, per-WR NIC latency),
 //   - propagation delay (LAN microseconds to WAN 24.5 ms one way),
-//   - RC semantics: in-order per-QP delivery, sender completions on ACK
-//     (half an RTT after delivery), receiver-not-ready NAK/retry for
-//     SEND, bounded outstanding RDMA READs (initiator depth),
+//   - RC timing over the shared queue-pair rules (verbs.RCQP): in-order
+//     per-QP delivery, sender completions on ACK (half an RTT after
+//     delivery), receiver-not-ready NAK/retry for SEND, bounded
+//     outstanding RDMA READs at the responder (IRD),
 //   - host CPU charging: posting WRs, reaping completions, interrupt
 //     moderation — two-sided traffic charges both hosts, one-sided
 //     traffic only the initiator.
@@ -100,7 +101,6 @@ func (bb *Backbone) Bytes() (fwd, rev uint64) { return bb.fwd.txBytes, bb.rev.tx
 type Fabric struct {
 	sched   *sim.Scheduler
 	nextQP  verbs.QPID
-	qps     map[verbs.QPID]*QP
 	msgFree []*message // recycled in-flight messages (single sim goroutine)
 }
 
@@ -128,7 +128,7 @@ func (f *Fabric) putMessage(m *message) {
 
 // New creates an empty fabric on the scheduler.
 func New(sched *sim.Scheduler) *Fabric {
-	return &Fabric{sched: sched, qps: make(map[verbs.QPID]*QP)}
+	return &Fabric{sched: sched}
 }
 
 // Scheduler returns the simulation scheduler.
@@ -293,8 +293,6 @@ func (d *Device) chargeCompletion(loop verbs.Loop) time.Duration {
 	}
 	return base
 }
-
-func (f *Fabric) qpByID(id verbs.QPID) *QP { return f.qps[id] }
 
 var _ verbs.Device = (*Device)(nil)
 

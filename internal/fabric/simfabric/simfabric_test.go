@@ -211,6 +211,31 @@ func TestRNRRetryExhaustion(t *testing.T) {
 	}
 }
 
+// TestParkedSendRefusedOnClose: a SEND parked in the RNR retry loop is
+// refused at its sender when the responder closes, before its retries
+// run out, and its retry timer then stops.
+func TestParkedSendRefusedOnClose(t *testing.T) {
+	r := newRig(t, lanLink())
+	if err := r.srcQP.PostSend(&verbs.SendWR{WRID: 4, Op: verbs.OpSend, Data: []byte("parked")}); err != nil {
+		t.Fatal(err)
+	}
+	r.sched.Run(r.sched.Now() + 150*time.Microsecond) // arrived, NAKed once
+	if r.dstDev.RNRNaks == 0 || len(r.srcWCs) != 0 {
+		t.Fatalf("SEND not parked: %d NAKs, sender WCs %+v", r.dstDev.RNRNaks, r.srcWCs)
+	}
+	if err := r.dstQP.Close(); err != nil {
+		t.Fatal(err)
+	}
+	naks := r.dstDev.RNRNaks
+	r.sched.RunAll()
+	if len(r.srcWCs) != 1 || r.srcWCs[0].Status != verbs.StatusAborted {
+		t.Fatalf("parked SEND after responder close: %+v", r.srcWCs)
+	}
+	if r.dstDev.RNRNaks != naks {
+		t.Fatalf("RNR retries went on after close: %d NAKs, then %d", naks, r.dstDev.RNRNaks)
+	}
+}
+
 func TestReadFetchesData(t *testing.T) {
 	r := newRig(t, lanLink())
 	src := []byte("remote data to read back....")

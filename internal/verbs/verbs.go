@@ -13,7 +13,11 @@
 // (internal/fabric/simfabric), an in-process channel fabric
 // (internal/fabric/chanfabric) and a TCP socket fabric
 // (internal/fabric/netfabric). The protocol core is written purely
-// against this package, so the same code runs on all three.
+// against this package, so the same code runs on all three. The queue
+// pair's semantics live here once, not in the fabrics: RCQP holds the
+// RC rules (states, work-request validation, send and receive queues,
+// the error and flush rule) and UpcallCQ the completion queue. A fabric
+// is a transport that moves a QP's messages and calls into both.
 //
 // Payload modeling: a work request carries Data (real bytes, always used
 // for protocol headers) plus ModelBytes (additional modeled payload for
@@ -253,12 +257,15 @@ func (c QPConfig) Normalize() QPConfig {
 // QP is a queue pair endpoint.
 type QP interface {
 	ID() QPID
-	// PostSend enqueues a send-queue work request.
+	// PostSend enqueues a send-queue work request. It copies wr (not
+	// wr.Data), so the caller may reuse the WR once PostSend returns.
 	PostSend(wr *SendWR) error
-	// PostRecv enqueues a receive buffer.
+	// PostRecv enqueues a receive buffer. It copies wr, so the caller may
+	// reuse the WR once PostRecv returns.
 	PostRecv(wr *RecvWR) error
-	// Close transitions the QP out of service; pending WRs complete with
-	// StatusFlushed.
+	// Close transitions the QP out of service: queued WRs and posted
+	// receives complete with StatusFlushed, and arrivals parked for a
+	// receive are refused at their senders (see RCQP).
 	Close() error
 }
 
