@@ -22,12 +22,13 @@ vet:
 	@out=$$(gofmt -l . | grep -v -e /testdata/ -e '^\.bench_build/'); \
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# deps keeps the discrete-event simulator and the figure generators out
-# of the shipping binaries: the protocol core must not import them.
+# deps keeps the discrete-event simulator, the figure generators and the
+# in-process test fabric (chanfabric) out of the shipping binaries: the
+# protocol core must not import them, and rftp/rftpd run only netfabric.
 deps:
 	@out=$$($(GO) list -deps ./cmd/rftp ./cmd/rftpd \
-		| grep -E '^rftp/internal/(sim|hostmodel|diskmodel|tcpmodel|gridftp|bench)$$'); \
-	if [ -n "$$out" ]; then echo "rftp/rftpd link simulator packages:"; echo "$$out"; exit 1; fi
+		| grep -E '^rftp/internal/(sim|hostmodel|diskmodel|tcpmodel|gridftp|bench|fabric/chanfabric)$$'); \
+	if [ -n "$$out" ]; then echo "rftp/rftpd link simulator or test-fabric packages:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -28,7 +28,7 @@ var experimentNames = []string{
 	"table1", "fig3a", "fig3b", "fig4a", "fig4b",
 	"fig8", "fig9", "fig10", "fig11",
 	"ablation-credit", "ablation-qps", "ablation-depth", "ablation-loaddepth", "ablation-ramp", "ablation-creditbatch",
-	"ablation-notify", "ablation-threads", "ablation-reactors", "ablation-mrcache", "ablation-sessions",
+	"ablation-notify", "ablation-threads", "ablation-mrcache", "ablation-sessions",
 	"ablation-pullmode",
 	"cross-arch", "scale-out", "latency", "timeseries",
 }
@@ -137,8 +137,6 @@ func runExperiment(name string, sc bench.Scale) ([]bench.Row, error) {
 		return bench.AblationNotify(bench.RoCEWAN(), sc)
 	case "ablation-threads":
 		return bench.AblationThreading(bench.RoCELAN(), sc)
-	case "ablation-reactors":
-		return bench.AblationReactors(sc)
 	case "ablation-mrcache":
 		return bench.AblationMRCache(sc)
 	case "ablation-sessions":

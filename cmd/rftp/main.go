@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"rftp/internal/core"
-	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/fabric/netfabric"
 	"rftp/internal/storage"
 	"rftp/internal/telemetry"
@@ -37,7 +36,6 @@ func main() {
 	blockStr := flag.String("block", "1M", "block size (e.g. 64K, 1M, 4M)")
 	depth := flag.Int("depth", 16, "blocks kept in flight")
 	loadDepth := flag.Int("load-depth", 0, "file reads kept in flight against storage (0 = -depth)")
-	reactors := flag.Int("reactors", 1, "reactor shards driving the data channels, each on its own event loop (clamped to -channels)")
 	mrCache := flag.Int("mr-cache", 0, "pin-down cache capacity in memory regions: block pools draw registrations from the cache and release them on close (0 = register directly)")
 	zero := flag.String("zero", "", "memory-to-memory benchmark: send SIZE of synthetic zeros instead of files (e.g. -zero 1G)")
 	sessions := flag.Int("sessions", 1, "concurrent sessions for -zero: split the payload into N tenant streams multiplexed over the one connection")
@@ -67,26 +65,13 @@ func main() {
 		log.Fatalf("rftp: dial: %v", err)
 	}
 	defer dev.Close()
-	loop := chanfabric.NewLoop("rftp")
+	loop := verbs.NewWallLoop("rftp")
 	defer loop.Stop()
-	shards := *reactors
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > *channels {
-		shards = *channels
-	}
-	loops := []verbs.Loop{loop}
-	for i := 1; i < shards; i++ {
-		sl := chanfabric.NewLoop(fmt.Sprintf("rftp-shard%d", i))
-		defer sl.Stop()
-		loops = append(loops, sl)
-	}
 
 	// -sessions N multiplexes N tenant streams over this connection;
 	// size the control receive ring for the SESSION_RESP / credit-grant
 	// bursts they generate.
-	ep, err := core.NewServiceEndpoint(dev, loops, *channels, *depth, *sessions)
+	ep, err := core.NewServiceEndpoint(dev, []verbs.Loop{loop}, *channels, *depth, *sessions)
 	if err != nil {
 		log.Fatalf("rftp: endpoint: %v", err)
 	}
@@ -216,7 +201,7 @@ func main() {
 	if err := <-ready; err != nil {
 		log.Fatalf("rftp: negotiation: %v", err)
 	}
-	log.Printf("rftp: negotiated block=%s channels=%d depth=%d load-depth=%d reactors=%d", *blockStr, *channels, *depth, workers, shards)
+	log.Printf("rftp: negotiated block=%s channels=%d depth=%d load-depth=%d", *blockStr, *channels, *depth, workers)
 
 	if *zero != "" {
 		// The paper's memory-to-memory test: /dev/zero at the source,
@@ -266,7 +251,7 @@ func main() {
 		gbps := float64(aggBytes) * 8 / last.Seconds() / 1e9
 		log.Printf("rftp: mem-to-mem %d bytes over %d session(s) in %v (%.2f Gbps, %d blocks)",
 			aggBytes, nSess, last.Round(time.Millisecond), gbps, aggBlocks)
-		loop.Post(0, source.Close)
+		closeOn(loop, source.Close)
 		return
 	}
 
@@ -303,15 +288,24 @@ func main() {
 		log.Printf("rftp: %s: %d bytes in %v (%.2f Gbps, %d blocks, session %d)",
 			res.name, res.r.Bytes, res.dur.Round(time.Millisecond), gbps, res.r.Blocks, res.r.Session)
 	}
-	loop.Post(0, source.Close)
+	closeOn(loop, source.Close)
 	if failed {
 		os.Exit(1)
 	}
 }
 
+// closeOn runs closeFn on loop and waits for it to finish: the deferred
+// loop.Stop discards queued closures, so a Close merely posted might
+// never run.
+func closeOn(loop *verbs.WallLoop, closeFn func()) {
+	done := make(chan struct{})
+	loop.Post(0, func() { closeFn(); close(done) })
+	<-done
+}
+
 // writeSpanFile exports completed block lifecycle spans as JSONL. The
 // span ring is owned by the protocol loop, so the dump runs there.
-func writeSpanFile(path string, loop *chanfabric.Loop, source *core.Source) error {
+func writeSpanFile(path string, loop *verbs.WallLoop, source *core.Source) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"rftp/internal/core"
-	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/fabric/netfabric"
 	"rftp/internal/storage"
 	"rftp/internal/telemetry"
@@ -62,7 +61,6 @@ type serveOpts struct {
 	channels    int
 	depth       int
 	storeDepth  int
-	reactors    int
 	mrCache     int
 	maxSessions int
 	sessQueue   int
@@ -84,7 +82,6 @@ func main() {
 	channels := flag.Int("channels", 2, "number of data channel queue pairs")
 	depth := flag.Int("depth", 16, "I/O depth (sink block pool = 2x)")
 	storeDepth := flag.Int("store-depth", 0, "file writes kept in flight against storage (0 = -depth)")
-	reactors := flag.Int("reactors", 1, "reactor shards driving the data channels, each on its own event loop (clamped to -channels)")
 	mrCache := flag.Int("mr-cache", 0, "per-connection pin-down cache capacity in memory regions: the sink pool draws registrations from the cache and releases them on close (0 = register directly)")
 	maxSessions := flag.Int("max-sessions", 0, "concurrently active sessions admitted per connection (0 = unbounded)")
 	mode := flag.String("mode", "hybrid", "data paths served: push (refuse pull sessions), pull, or hybrid (accept either and follow the source's mode switches)")
@@ -127,7 +124,6 @@ func main() {
 		channels:    *channels,
 		depth:       *depth,
 		storeDepth:  *storeDepth,
-		reactors:    *reactors,
 		mrCache:     *mrCache,
 		maxSessions: *maxSessions,
 		sessQueue:   *sessQueue,
@@ -188,26 +184,13 @@ func serve(dev *netfabric.Device, conn int, opts *serveOpts, served chan<- struc
 	defer close(served)
 	defer dev.Close()
 	dir, channels, depth, devnull := opts.dir, opts.channels, opts.depth, opts.devnull
-	loop := chanfabric.NewLoop("rftpd")
+	loop := verbs.NewWallLoop("rftpd")
 	defer loop.Stop()
-	shards := opts.reactors
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > channels {
-		shards = channels
-	}
-	loops := []verbs.Loop{loop}
-	for i := 1; i < shards; i++ {
-		sl := chanfabric.NewLoop(fmt.Sprintf("rftpd-shard%d", i))
-		defer sl.Stop()
-		loops = append(loops, sl)
-	}
 
 	// Size the control receive ring from the admission cap: a service
 	// endpoint admitting -max-sessions tenants (plus the queued ones)
 	// takes their SESSION_REQ / MR_INFO_REQUEST bursts on one ring.
-	ep, err := core.NewServiceEndpoint(dev, loops, channels, depth, opts.maxSessions+opts.sessQueue)
+	ep, err := core.NewServiceEndpoint(dev, []verbs.Loop{loop}, channels, depth, opts.maxSessions+opts.sessQueue)
 	if err != nil {
 		log.Printf("rftpd: endpoint: %v", err)
 		return
@@ -324,7 +307,12 @@ func serve(dev *netfabric.Device, conn int, opts *serveOpts, served chan<- struc
 		log.Printf("rftpd: connection error: %v", err)
 	}
 	<-connDone
-	loop.Post(0, sink.Close)
+	// Close must run before the deferred loop.Stop, which discards
+	// queued closures: it ends every live session (OnSessionDone syncs
+	// and closes its file) and releases the pool.
+	done := make(chan struct{})
+	loop.Post(0, func() { sink.Close(); close(done) })
+	<-done
 	log.Printf("rftpd: peer disconnected")
 }
 

@@ -21,9 +21,9 @@ import (
 	"time"
 
 	"rftp/internal/core"
-	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/fabric/netfabric"
 	"rftp/internal/storage"
+	"rftp/internal/verbs"
 )
 
 const fileSize = 32 << 20
@@ -61,7 +61,7 @@ func main() {
 			return
 		}
 		defer dev.Close()
-		loop := chanfabric.NewLoop("server")
+		loop := verbs.NewWallLoop("server")
 		defer loop.Stop()
 		ep, err := core.NewEndpoint(dev, loop, cfg.Channels, cfg.IODepth)
 		if err != nil {
@@ -95,7 +95,7 @@ func main() {
 	dev, err := netfabric.Dial(ln.Addr().String())
 	check(err)
 	defer dev.Close()
-	loop := chanfabric.NewLoop("client")
+	loop := verbs.NewWallLoop("client")
 	defer loop.Stop()
 	ep, err := core.NewEndpoint(dev, loop, cfg.Channels, cfg.IODepth)
 	check(err)

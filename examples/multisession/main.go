@@ -22,6 +22,7 @@ import (
 
 	"rftp/internal/core"
 	"rftp/internal/fabric/chanfabric"
+	"rftp/internal/verbs"
 	"rftp/internal/wire"
 )
 
@@ -32,8 +33,8 @@ func main() {
 	// Shape the link mildly so the sessions genuinely interleave.
 	fab.Connect(srcDev, dstDev, chanfabric.Shaping{Latency: 500 * time.Microsecond})
 
-	srcLoop := chanfabric.NewLoop("source")
-	dstLoop := chanfabric.NewLoop("sink")
+	srcLoop := verbs.NewWallLoop("source")
+	dstLoop := verbs.NewWallLoop("sink")
 	defer srcLoop.Stop()
 	defer dstLoop.Stop()
 

@@ -18,6 +18,7 @@ import (
 
 	"rftp/internal/core"
 	"rftp/internal/fabric/chanfabric"
+	"rftp/internal/verbs"
 )
 
 func main() {
@@ -28,8 +29,8 @@ func main() {
 	fab.Connect(srcDev, dstDev, chanfabric.Shaping{}) // unshaped: memory speed
 
 	// 2. One event loop per host (the middleware's event-driven core).
-	srcLoop := chanfabric.NewLoop("source")
-	dstLoop := chanfabric.NewLoop("sink")
+	srcLoop := verbs.NewWallLoop("source")
+	dstLoop := verbs.NewWallLoop("sink")
 	defer srcLoop.Stop()
 	defer dstLoop.Stop()
 
@@ -90,7 +91,7 @@ func main() {
 }
 
 // sourceStats reads stats on the source's own loop.
-func sourceStats(loop *chanfabric.Loop, s *core.Source) core.Stats {
+func sourceStats(loop *verbs.WallLoop, s *core.Source) core.Stats {
 	ch := make(chan core.Stats, 1)
 	loop.Post(0, func() { ch <- s.Stats() })
 	return <-ch

@@ -17,8 +17,7 @@
 //   - loopconfine: loop-confined operations (setState, the credit
 //     ledger, span stamps) and writes into per-session records
 //     (srcSession, sinkSession) must never run on a raw goroutine —
-//     crossing shards is only sanctioned through a loop's Post/After
-//     handoff.
+//     work reaches the loop only through its Post/After handoff.
 //   - blockleak: flow-sensitive — every pool acquisition must reach a
 //     release, repost, or ownership handoff on every path out of the
 //     function, error returns included (CFG + forward dataflow + one-

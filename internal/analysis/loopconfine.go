@@ -8,31 +8,30 @@ import (
 // LoopConfine flags loop-confined protocol state touched from a raw
 // goroutine.
 //
-// The sharded-reactor design keeps every mutable protocol structure —
-// the block FSM, the credit ledger, the span table — confined to one
-// reactor loop; that confinement, not locking, is what makes the hot
-// path safe. The compiler cannot see the convention, and the race
-// detector only catches the schedules a test happens to produce. This
-// pass checks the structural half: the recognised confined operations
-// (any setState method, the invariant credit-ledger probes that shadow
-// the real ledger, and spans.Recorder.Transition) must never execute
-// on a goroutine launched with a bare `go` statement, and neither may
-// a write (plain assignment, op-assignment, or ++/--) into a field of a
+// Every mutable protocol structure — the block FSM, the credit ledger,
+// the span table — is confined to its connection's one event loop;
+// that confinement, not locking, is what makes the hot path safe. The
+// compiler cannot see the convention, and the race detector only
+// catches the schedules a test happens to produce. This pass checks the
+// structural half: the recognised confined operations (any setState
+// method, the invariant credit-ledger probes that shadow the real
+// ledger, and spans.Recorder.Transition) must never execute on a
+// goroutine launched with a bare `go` statement, and neither may a
+// write (plain assignment, op-assignment, or ++/--) into a field of a
 // per-session record (the sessionRecords types), whose credit counters,
 // deficits, load depths and queues are mutated loop-confined, never
 // under a lock.
 //
 // A confined call is reported when walking outward from the call site
 // reaches a `go` statement before reaching either a function
-// declaration (assumed to run on the owning loop, like every reactor
+// declaration (assumed to run on the owning loop, like every loop
 // callback) or a function literal handed to a loop scheduler (an
 // argument of a call whose method is named Post, After, or AfterFunc —
 // those run the literal back on the loop, which is exactly the
-// sanctioned way to cross shards). Literals that escape through other
-// calls, assignments, or returns inherit their defining context rather
-// than being guessed at, so mailbox handlers and completion callbacks
-// stay quiet. The invariant and spans packages drive their own
-// primitives freely.
+// sanctioned way onto it). Literals that escape through other calls,
+// assignments, or returns inherit their defining context rather than
+// being guessed at, so completion callbacks stay quiet. The invariant
+// and spans packages drive their own primitives freely.
 var LoopConfine = &Analyzer{
 	Name: "loopconfine",
 	Doc:  "flag loop-confined calls and session-record writes on raw goroutines",
@@ -70,7 +69,7 @@ func runLoopConfine(pass *Pass) error {
 					pass.Report(Diagnostic{
 						Pos: n.Pos(),
 						Message: "loop-confined call (" + what + ") on a raw goroutine: " +
-							"shard state is single-loop by design; hand the work to the owning loop with Post",
+							"protocol state is single-loop by design; hand the work to the owning loop with Post",
 					})
 				}
 				return true

@@ -106,3 +106,38 @@ func RunRFTPRepeated(tb Testbed, opt RFTPOptions, conns int) ([]RunResult, MRCac
 	}
 	return results, rep, nil
 }
+
+// AblationMRCache measures the pin-down cache on repeated short
+// sessions: 8 sequential connections over one fabric, each tearing its
+// pools down into the shared cache. The first connection misses on
+// every registration; the rest hit.
+func AblationMRCache(scale Scale) ([]Row, error) {
+	cfg := core.DefaultConfig()
+	cfg.BlockSize = 1 << 20
+	cfg.IODepth = 16
+	cfg.SinkBlocks = 32
+	const conns = 8
+	results, rep, err := RunRFTPRepeated(RoCELAN(), RFTPOptions{
+		Config: cfg, TotalBytes: scale.bytes(1 << 30),
+	}, conns)
+	if err != nil {
+		return nil, fmt.Errorf("ablation-mrcache: %w", err)
+	}
+	var rows []Row
+	for i, r := range results {
+		rows = append(rows, Row{
+			Figure: "ablation-mrcache", Testbed: RoCELAN().Name, Tool: "RFTP",
+			BlockSize: cfg.BlockSize, Depth: i + 1,
+			Gbps: r.BandwidthGbps,
+			Note: fmt.Sprintf("conn=%d", i+1),
+		})
+	}
+	rows = append(rows, Row{
+		Figure: "ablation-mrcache", Testbed: RoCELAN().Name, Tool: "RFTP",
+		BlockSize: cfg.BlockSize, Depth: conns,
+		Gbps: results[len(results)-1].BandwidthGbps,
+		Note: fmt.Sprintf("summary: hit-rate=%.0f%% hits=%d misses=%d evictions=%d",
+			100*rep.HitRate, rep.Hits, rep.Misses, rep.Evictions),
+	})
+	return rows, nil
+}

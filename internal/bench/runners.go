@@ -37,12 +37,6 @@ type RFTPOptions struct {
 	// threads (0 or 1 = the single dedicated thread).
 	Loaders int
 	Storers int
-	// Reactors shards the data-channel hot path over N per-core event
-	// loops on each host (0 or 1 = the classic single reactor). Shard 0
-	// keeps the control plane; extra shards own disjoint channel groups
-	// with their own completion queues, so posting and completion CPU
-	// spreads across cores. Clamped to Config.Channels.
-	Reactors int
 	// Sessions multiplexes N concurrent tenants over the one
 	// connection's shared data channels (0 or 1 = classic single
 	// session). TotalBytes is split across the tenants proportionally to
@@ -53,14 +47,13 @@ type RFTPOptions struct {
 	// as Config.TenantWeights unless the config sets its own.
 	SessionWeights []int
 	// SrcBusy co-locates a competing compute job on the source host's
-	// protocol threads: every scheduling quantum, each protocol thread
-	// (control loop and reactor shards) loses this fraction of its CPU
-	// to the other job. Models the paper's busy data source — the
-	// regime where the pull path's one-sided READs win by moving
-	// per-block data-path work to the receiver. The same value feeds
-	// Config.LoadProbe (unless the caller set its own), standing in for
-	// the OS load average the hybrid controller would consult on a real
-	// host. 0 = idle host.
+	// protocol thread: every scheduling quantum, the connection's loop
+	// thread loses this fraction of its CPU to the other job. Models the
+	// paper's busy data source — the regime where the pull path's
+	// one-sided READs win by moving per-block data-path work to the
+	// receiver. The same value feeds Config.LoadProbe (unless the caller
+	// set its own), standing in for the OS load average the hybrid
+	// controller would consult on a real host. 0 = idle host.
 	SrcBusy float64
 	Seed    int64
 	// Telemetry, when non-nil, instruments the run: source/sink protocol
@@ -272,19 +265,19 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 		sink.OnSessionOpen = func(core.SessionInfo) {
 			admitted++
 			if admitted == sessions {
-				p.srcLoops[0].Post(0, func() {
+				p.srcLoop.Post(0, func() {
 					startAt = sched.Now()
 					gate.release()
 				})
 			}
 		}
 	}
-	// The competing job: a fixed fraction of every source protocol
+	// The competing job: a fixed fraction of the source protocol
 	// thread's quantum, interleaving with protocol work through the
-	// threads' FIFO CPU model until the transfer drains. The loader
-	// threads are spared — the job competes for the reactor cores, not
+	// thread's FIFO CPU model until the transfer drains. The loader
+	// threads are spared — the job competes for the loop's core, not
 	// the storage pipeline, so the contrast between the modes is the
-	// data-path CPU they place on the squeezed threads.
+	// data-path CPU they place on the squeezed thread.
 	if opt.SrcBusy > 0 {
 		const busyQuantum = 20 * time.Microsecond
 		busyCost := time.Duration(opt.SrcBusy * float64(busyQuantum))
@@ -293,9 +286,7 @@ func RunRFTP(tb Testbed, opt RFTPOptions) (RunResult, error) {
 			if srcLeft == 0 && sinkLeft == 0 {
 				return
 			}
-			for _, l := range p.srcLoops {
-				l.(*hostmodel.Thread).Post(busyCost, func() {})
-			}
+			p.srcLoop.Post(busyCost, func() {})
 			sched.After(busyQuantum, busyTick)
 		}
 		sched.After(busyQuantum, busyTick)

@@ -21,10 +21,10 @@ type simPair struct {
 
 	srcHost, dstHost *hostmodel.Host
 	srcDev, dstDev   *simfabric.Device
-	// srcLoops[0] / dstLoops[0] carry the control plane; the rest are
-	// reactor shards.
-	srcLoops, dstLoops []verbs.Loop
-	loader, storer     *hostmodel.Thread
+	// srcLoop / dstLoop run each side's connection: control plane and
+	// data path.
+	srcLoop, dstLoop *hostmodel.Thread
+	loader, storer   *hostmodel.Thread
 	// loaders / storers are set only when the run spreads memory-model
 	// I/O over several threads; they then include loader / storer.
 	loaders, storers []*hostmodel.Thread
@@ -36,7 +36,7 @@ type simPair struct {
 // newSimPair models two hosts of the testbed on fab, linked directly or,
 // when bb is non-nil, through the shared backbone; tag tells the pairs
 // of a multi-pair run apart. Of opt it reads Config (normalized here,
-// with modeled payload), Reactors, Loaders, Storers and Sessions.
+// with modeled payload), Loaders, Storers and Sessions.
 func newSimPair(fab *simfabric.Fabric, bb *simfabric.Backbone, tb Testbed, tag string, opt RFTPOptions) (*simPair, error) {
 	cfg := opt.Config
 	cfg.ModelPayload = true
@@ -59,12 +59,8 @@ func newSimPair(fab *simfabric.Fabric, bb *simfabric.Backbone, tb Testbed, tag s
 		fab.Connect(p.srcDev, p.dstDev, tb.Link)
 	}
 
-	p.srcLoops = []verbs.Loop{p.srcHost.NewThread("rftp-src")}
-	p.dstLoops = []verbs.Loop{p.dstHost.NewThread("rftp-sink")}
-	for i := 1; i < min(opt.Reactors, cfg.Channels); i++ {
-		p.srcLoops = append(p.srcLoops, p.srcHost.NewThread(fmt.Sprintf("rftp-src-shard%d", i)))
-		p.dstLoops = append(p.dstLoops, p.dstHost.NewThread(fmt.Sprintf("rftp-sink-shard%d", i)))
-	}
+	p.srcLoop = p.srcHost.NewThread("rftp-src")
+	p.dstLoop = p.dstHost.NewThread("rftp-sink")
 	p.loader = p.srcHost.NewThread("loader")
 	p.storer = p.dstHost.NewThread("storer")
 	p.loaders = spread(p.loader, opt.Loaders)
@@ -90,11 +86,11 @@ func spread(first *hostmodel.Thread, n int) []*hostmodel.Thread {
 // sink (callers with another destination replace NewWriter before the
 // scheduler runs), and a source.
 func (p *simPair) connect() (*core.Source, *core.Sink, error) {
-	srcEP, err := core.NewServiceEndpoint(p.srcDev, p.srcLoops, p.cfg.Channels, p.cfg.IODepth, p.sessions)
+	srcEP, err := core.NewServiceEndpoint(p.srcDev, []verbs.Loop{p.srcLoop}, p.cfg.Channels, p.cfg.IODepth, p.sessions)
 	if err != nil {
 		return nil, nil, err
 	}
-	dstEP, err := core.NewServiceEndpoint(p.dstDev, p.dstLoops, p.cfg.Channels, p.cfg.IODepth, p.sessions)
+	dstEP, err := core.NewServiceEndpoint(p.dstDev, []verbs.Loop{p.dstLoop}, p.cfg.Channels, p.cfg.IODepth, p.sessions)
 	if err != nil {
 		return nil, nil, err
 	}

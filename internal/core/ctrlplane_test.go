@@ -14,12 +14,12 @@ import (
 
 // newCtrlPair wires two one-channel endpoints over chanfabric, each on
 // its own loop, with no Source or Sink: tests claim the control planes.
-func newCtrlPair(t *testing.T) (epA, epB *Endpoint, la, lb *chanfabric.Loop) {
+func newCtrlPair(t *testing.T) (epA, epB *Endpoint, la, lb *verbs.WallLoop) {
 	t.Helper()
 	fab := chanfabric.New()
 	devA, devB := fab.NewDevice("a"), fab.NewDevice("b")
 	fab.Connect(devA, devB, chanfabric.Shaping{})
-	la, lb = chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb = verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	epA, err := NewEndpoint(devA, la, 1, 2)
 	if err != nil {

@@ -22,29 +22,18 @@ const dataQueueSlack = 4
 
 // Endpoint bundles the queue pairs one side of a connection uses: a
 // dedicated control QP (SEND/RECV) and one or more data channel QPs
-// (RDMA WRITE). The control QP always completes onto Loop; the data
-// QPs are sharded across Shards, one completion queue per shard, so a
-// multi-core host spreads per-block posting and completion work across
-// reactors while the control plane (credits, sessions, ordering) stays
-// single-threaded on shard 0.
+// (RDMA WRITE/READ). Every QP completes onto the one Loop: the control
+// QP on CtrlCQ, every data QP on DataCQ, so the whole connection —
+// control plane and data path alike — runs on one serial event thread.
 type Endpoint struct {
 	Dev  verbs.Device
-	Loop verbs.Loop // control loop == Shards[0]
+	Loop verbs.Loop
 	PD   *verbs.PD
-
-	// Shards are the reactor loops. Data channel i is owned by shard
-	// i%len(Shards); Shards[0] is the control loop, so a one-shard
-	// endpoint degenerates to the classic single-reactor layout.
-	Shards []verbs.Loop
 
 	Ctrl   verbs.QP
 	Data   []verbs.QP
 	CtrlCQ *verbs.UpcallCQ
-	// DataCQs holds one completion queue per shard; data QP i completes
-	// on DataCQs[i%len(Shards)]. DataCQ aliases DataCQs[0] for the
-	// single-reactor case.
-	DataCQs []*verbs.UpcallCQ
-	DataCQ  *verbs.UpcallCQ
+	DataCQ *verbs.UpcallCQ
 
 	// MRCache, when set before pools are created, supplies block
 	// registrations from the pin-down cache instead of registering
@@ -66,8 +55,7 @@ type Endpoint struct {
 	closed    atomic.Bool
 }
 
-// NewEndpoint creates a classic single-reactor endpoint: every QP
-// completes onto loop.
+// NewEndpoint creates an endpoint whose QPs all complete onto loop.
 func NewEndpoint(dev verbs.Device, loop verbs.Loop, channels, ioDepth int) (*Endpoint, error) {
 	return NewServiceEndpoint(dev, []verbs.Loop{loop}, channels, ioDepth, 1)
 }
@@ -81,9 +69,10 @@ func NewEndpoint(dev verbs.Device, loop verbs.Loop, channels, ioDepth int) (*End
 const ctrlMsgsPerSession = 4
 
 // NewServiceEndpoint creates the QPs for one side: channels data QPs
-// plus the control QP. loops[0] carries the control plane; the data
-// channels are distributed round-robin over min(len(loops), channels)
-// reactor shards, each with its own completion queue on its own loop.
+// plus the control QP, all completing onto one loop. loops must hold
+// exactly that one loop; the parameter is a slice only because
+// benchmark/harness.go passes one, and the harness catch-up (ROADMAP
+// item 2) narrows it to a verbs.Loop.
 // ioDepth sizes the queues: the control receive queue must absorb one
 // message per in-flight block plus negotiation traffic, and is
 // additionally sized for sessions concurrent tenants (admitted plus
@@ -96,12 +85,8 @@ func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth,
 	if channels < 1 {
 		return nil, fmt.Errorf("core: need at least one data channel")
 	}
-	if len(loops) < 1 {
-		return nil, fmt.Errorf("core: need at least one reactor loop")
-	}
-	nsh := len(loops)
-	if nsh > channels {
-		nsh = channels
+	if len(loops) != 1 {
+		return nil, fmt.Errorf("core: an endpoint runs on exactly one event loop, got %d", len(loops))
 	}
 	ctrlDepth := 2*ioDepth + 16
 	if sessions > 1 {
@@ -112,19 +97,14 @@ func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth,
 	}
 	ep := &Endpoint{Dev: dev, Loop: loops[0], PD: dev.AllocPD(), ctrlDepth: ctrlDepth,
 		dataDepth: ioDepth + dataQueueSlack, readDepth: ioDepth + dataQueueSlack}
-	ep.Shards = append(ep.Shards, loops[:nsh]...)
 	// Every CQ has its handler before the first QP exists: closing a
 	// half-built or never-claimed endpoint flushes posted receives, and
 	// those completions must find someone home.
 	ep.ctrl.ep = ep
 	ep.CtrlCQ = verbs.NewUpcallCQ(ep.Loop)
 	ep.CtrlCQ.SetHandler(ep.ctrl.onWC)
-	for i := 0; i < nsh; i++ {
-		cq := verbs.NewUpcallCQ(loops[i])
-		cq.SetHandler(unclaimedDataWC)
-		ep.DataCQs = append(ep.DataCQs, cq)
-	}
-	ep.DataCQ = ep.DataCQs[0]
+	ep.DataCQ = verbs.NewUpcallCQ(ep.Loop)
+	ep.DataCQ.SetHandler(unclaimedDataWC)
 
 	var err error
 	ep.Ctrl, err = dev.CreateQP(verbs.QPConfig{
@@ -136,13 +116,12 @@ func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth,
 	}
 	dataDepth := ep.dataDepth
 	for i := 0; i < channels; i++ {
-		cq := ep.DataCQs[i%nsh]
 		// MaxRDAtomic is set explicitly to the full send depth: the
 		// pull-mode fetcher bounds its own outstanding READs per channel
 		// (ep.readDepth), so the QP-level initiator cap must not park
 		// READs below what the protocol already accounts for.
 		qp, err := dev.CreateQP(verbs.QPConfig{
-			PD: ep.PD, SendCQ: cq, RecvCQ: cq,
+			PD: ep.PD, SendCQ: ep.DataCQ, RecvCQ: ep.DataCQ,
 			MaxSend: dataDepth, MaxRecv: dataDepth + 4,
 			MaxRDAtomic: ep.readDepth,
 		})
@@ -168,8 +147,8 @@ func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth,
 	return ep, nil
 }
 
-// unclaimedDataWC is a data CQ's handler until a Source or Sink installs
-// its shard's: nothing has been posted on the data QPs yet (notify
+// unclaimedDataWC is the data CQ's handler until a Source or Sink
+// installs its own: nothing has been posted on the data QPs yet (notify
 // receives go up at negotiation), so only a teardown flush can get here.
 func unclaimedDataWC(wc verbs.WC) {
 	if wc.Status != verbs.StatusFlushed {
@@ -327,9 +306,6 @@ func (ep *Endpoint) ConnectTo(peer *Endpoint, connect func(a, b verbs.QP) error)
 	return ep.Bind(func(q verbs.QP, ch uint32) error { return connect(q, theirs[ch]) })
 }
 
-// shardIndex maps a data channel to the reactor shard that owns it.
-func (ep *Endpoint) shardIndex(ch int) int { return ch % len(ep.Shards) }
-
 // postDataNotifyRecvs pre-posts notification receives on every data QP
 // (immediate-notification mode: WRITE WITH IMMEDIATE consumes one
 // receive per block). The buffers are minimal: the immediate value and
@@ -352,8 +328,8 @@ func (ep *Endpoint) postDataNotifyRecvs(perQP int) error {
 }
 
 // repostDataNotifyRecv replenishes one notification receive on data QP
-// ch. Each data QP is reposted only from its owning shard's loop, so
-// the per-QP reusable WR has a single writer.
+// ch. Only the endpoint's loop reposts, so the per-QP reusable WR has a
+// single writer.
 func (ep *Endpoint) repostDataNotifyRecv(ch int, wrid uint64) error {
 	if ep.closed.Load() {
 		return ErrClosed

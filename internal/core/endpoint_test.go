@@ -14,7 +14,8 @@ import (
 // both in-process fabrics: with equal channel counts ConnectTo pairs
 // control with control and data channel i with data channel i, in that
 // order, numbering them 0 and i+1 as Bind does; with unequal counts it
-// returns an error and connects nothing.
+// returns an error and connects nothing. An endpoint refuses any loop
+// count but one.
 func TestEndpointWiring(t *testing.T) {
 	type rig struct {
 		devA, devB verbs.Device
@@ -26,7 +27,7 @@ func TestEndpointWiring(t *testing.T) {
 			fab := chanfabric.New()
 			a, b := fab.NewDevice("a"), fab.NewDevice("b")
 			fab.Connect(a, b, chanfabric.Shaping{})
-			loop := chanfabric.NewLoop("wiring")
+			loop := verbs.NewWallLoop("wiring")
 			t.Cleanup(loop.Stop)
 			return rig{a, b, loop, fab.ConnectQPs}
 		},
@@ -51,6 +52,15 @@ func TestEndpointWiring(t *testing.T) {
 		{"more on the peer", 1, 2, true},
 	}
 	for fabName, build := range fabrics {
+		t.Run(fabName+"/one loop only", func(t *testing.T) {
+			r := build(t)
+			for _, loops := range [][]verbs.Loop{nil, {r.loop, r.loop}} {
+				if ep, err := NewServiceEndpoint(r.devA, loops, 1, 2, 1); err == nil {
+					ep.Close()
+					t.Fatalf("NewServiceEndpoint with %d loops succeeded, want an error", len(loops))
+				}
+			}
+		})
 		for _, tc := range cases {
 			t.Run(fabName+"/"+tc.name, func(t *testing.T) {
 				r := build(t)

@@ -11,6 +11,7 @@ import (
 	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/hostmodel"
 	"rftp/internal/sim"
+	"rftp/internal/verbs"
 	"rftp/internal/wire"
 )
 
@@ -157,7 +158,7 @@ func TestModelSinkChargesStorer(t *testing.T) {
 }
 
 func TestLoopSourceMarshalsCompletion(t *testing.T) {
-	loop := chanfabric.NewLoop("io-test")
+	loop := verbs.NewWallLoop("io-test")
 	defer loop.Stop()
 	inner := ReaderSource{R: strings.NewReader("abcdef")}
 	src := LoopSource{Inner: inner, Loop: loop}
@@ -177,7 +178,7 @@ func TestLoopSourceMarshalsCompletion(t *testing.T) {
 func TestEndpointCtrlRingSized(t *testing.T) {
 	fab := chanfabric.New()
 	dev := fab.NewDevice("d")
-	loop := chanfabric.NewLoop("ep-test")
+	loop := verbs.NewWallLoop("ep-test")
 	defer loop.Stop()
 	ep, err := NewEndpoint(dev, loop, 2, 100)
 	if err != nil {
@@ -202,7 +203,7 @@ func TestEndpointCtrlRingSized(t *testing.T) {
 func TestEndpointMinimumCtrlDepth(t *testing.T) {
 	fab := chanfabric.New()
 	dev := fab.NewDevice("d")
-	loop := chanfabric.NewLoop("ep-test2")
+	loop := verbs.NewWallLoop("ep-test2")
 	defer loop.Stop()
 	ep, err := NewEndpoint(dev, loop, 1, 2)
 	if err != nil {

@@ -274,12 +274,11 @@ func TestSendQueueFullRecovery(t *testing.T) {
 	// and the CQ handler run on the source loop, so no locking.
 	q := &flakyQP{QP: p.source.ep.Data[0], rejectBudget: 3}
 	p.source.ep.Data[0] = q
-	shard := p.source.shards[0]
 	p.source.ep.DataCQ.SetHandler(func(wc verbs.WC) {
 		if wc.Op == verbs.OpWrite || wc.Op == verbs.OpWriteImm {
 			q.outstanding--
 		}
-		shard.onDataWC(wc)
+		p.source.onDataWC(wc)
 	})
 
 	data := randBytes(2<<20, 14)

@@ -4,9 +4,9 @@ package core
 // paper's push protocol. Instead of the sink granting credits and the
 // source issuing RDMA WRITEs, the source advertises loaded blocks
 // (MsgBlockAdvert names the region, sequence, offset and length) and
-// the sink fetches them with one-sided RDMA READs issued from its
-// reactor shards, bounded by MaxRDAtomic per data QP. A READ_DONE
-// notification recycles the advertised block at the source.
+// the sink fetches them with one-sided RDMA READs, bounded by
+// MaxRDAtomic per data QP. A READ_DONE notification recycles the
+// advertised block at the source.
 //
 // The advertise pipeline is bounded by the same rateWindow estimator
 // that sizes the push credit window, fed from this side: the
@@ -320,9 +320,9 @@ func (k *Sink) handleAdvert(c *wire.Control) {
 }
 
 // pumpFetches pairs queued advertisements with free blocks and READ
-// slots and hands each fetch to the owning reactor shard. The
-// per-channel bound is the QP's initiator depth (MaxRDAtomic), striping
-// READs across channels and shards the way postWrites stripes WRITEs.
+// slots and posts each fetch. The per-channel bound is the QP's
+// initiator depth (MaxRDAtomic), striping READs across channels the
+// way postWrites stripes WRITEs.
 func (k *Sink) pumpFetches() {
 	if k.pool == nil || k.failed != nil || k.closed {
 		return
@@ -350,7 +350,7 @@ func (k *Sink) tryFetch(sess *sinkSession) step {
 }
 
 // issueFetch commits one advertisement to a block and channel (free →
-// fetching) and hands it to the channel's shard, which posts the READ.
+// fetching) and posts the READ.
 func (k *Sink) issueFetch(sess *sinkSession, b *block, adv fetchAdvert, ch int) {
 	b.setState(BlockFetching)
 	b.session = sess.info.ID
@@ -368,11 +368,38 @@ func (k *Sink) issueFetch(sess *sinkSession, b *block, adv fetchAdvert, ch int) 
 	k.readsInflight++
 	k.tel.readsPosted.Inc()
 	k.tel.readsInflight.Set(int64(k.readsInflight))
-	k.shards[k.ep.shardIndex(ch)].fetchIn.send(b)
+	k.postRead(b)
 }
 
-// readReverted undoes issueFetch's accounting for a READ the shard
-// could not post. A momentarily full send queue requeues the
+// postRead issues one pull-mode RDMA READ. The block is in Fetching
+// state with the advertised remote region in its credit field and the
+// channel already chosen (within the per-channel initiator depth).
+func (k *Sink) postRead(b *block) {
+	wr := &k.rdWR
+	*wr = verbs.SendWR{
+		WRID:    uint64(b.idx),
+		Op:      verbs.OpRead,
+		Remote:  wire2remote(b.credit),
+		Local:   b.mr,
+		ReadLen: wire.BlockHeaderSize + b.payloadLen,
+	}
+	if err := k.ep.Data[b.chIdx].PostSend(wr); err != nil {
+		b.setState(BlockFree)
+		if !k.closed {
+			k.readReverted(b, err)
+		}
+		return
+	}
+	b.spans.SetChannel(b.spanRef, b.chIdx)
+	k.Trace.Emit(trace.Event{Cat: trace.CatBlock, Name: "read_posted",
+		Session: b.session, Block: b.seq, Channel: int32(b.chIdx), V1: int64(b.payloadLen)})
+	if k.tel.reg != nil {
+		b.tPost = k.ep.Loop.Now()
+	}
+}
+
+// readReverted undoes issueFetch's accounting for a READ that could
+// not be posted. A momentarily full send queue requeues the
 // advertisement; anything else is fatal for the connection.
 func (k *Sink) readReverted(b *block, err error) {
 	k.chReads[b.chIdx]--
@@ -389,6 +416,24 @@ func (k *Sink) readReverted(b *block, err error) {
 	if sess := k.sessions[sessID]; sess != nil && !sess.finished {
 		sess.fetchQ = append([]fetchAdvert{adv}, sess.fetchQ...)
 	}
+}
+
+// readWC takes a completed READ: the fetched header must name the same
+// session, sequence, and length as the advertisement the block was
+// stamped from.
+func (k *Sink) readWC(wc verbs.WC) {
+	if k.pool == nil {
+		return
+	}
+	b := k.pool.byIdx(int(wc.WRID))
+	if b == nil || b.state != BlockFetching {
+		return // stale completion after failure handling
+	}
+	if err := k.arrive(b, b.session, int64(b.seq), b.payloadLen); err != nil {
+		k.fail(err)
+		return
+	}
+	k.readArrived(b)
 }
 
 // readArrived is the control-plane half of a READ completion: settle

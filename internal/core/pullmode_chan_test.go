@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rftp/internal/fabric/chanfabric"
+	"rftp/internal/verbs"
 )
 
 func TestChanPullTransferIntegrity(t *testing.T) {
@@ -155,8 +156,8 @@ func TestChanPushOnlySinkRefusesPull(t *testing.T) {
 	srcDev := fab.NewDevice("cf0")
 	dstDev := fab.NewDevice("cf1")
 	fab.Connect(srcDev, dstDev, chanfabric.Shaping{})
-	srcLoop := chanfabric.NewLoop("src")
-	dstLoop := chanfabric.NewLoop("dst")
+	srcLoop := verbs.NewWallLoop("src")
+	dstLoop := verbs.NewWallLoop("dst")
 	t.Cleanup(func() { srcLoop.Stop(); dstLoop.Stop() })
 
 	srcCfg := DefaultConfig()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"rftp/internal/invariant"
@@ -55,8 +54,9 @@ type Sink struct {
 	spanReg    *telemetry.Registry
 	spanSample int
 
-	pool       *pool // allocated when block size is negotiated
-	shards     []*sinkShard
+	pool       *pool                 // allocated when block size is negotiated
+	chOf       map[verbs.QPID]int    // data QP id → channel index (read-only)
+	rdWR       verbs.SendWR          // reused READ WR (PostSend copies)
 	stores     ioTasks[*sinkSession] // store completion carriers
 	flushFn    func()                // prebound flush-timer callback
 	blockSize  int
@@ -119,10 +119,6 @@ type Sink struct {
 	stats  Stats
 	closed bool
 	failed error
-	// dead is the only Sink field shards read without an ownership
-	// handoff: set exclusively by Close so late completions stop
-	// touching torn-down state.
-	dead atomic.Bool
 
 	// inv is the debug-build invariant ledger (no-op handle otherwise).
 	inv uint64
@@ -201,30 +197,41 @@ func NewSink(ep *Endpoint, cfg Config) (*Sink, error) {
 	k.stores = ioTasks[*sinkSession]{loop: ep.Loop, done: func(sess *sinkSession, b *block, _ int, _ bool, err error) {
 		k.storeDone(sess, b, err)
 	}}
-	for i := range ep.DataCQs {
-		k.shards = append(k.shards, newSinkShard(k, i, cfg.SinkBlocks+dataQueueSlack))
+	k.chOf = make(map[verbs.QPID]int)
+	for ch, qp := range ep.Data {
+		k.chOf[qp.ID()] = ch
 	}
+	ep.DataCQ.SetHandler(k.onDataWC)
 	ep.ctrl.claim(k.handleCtrl, k.fail)
 	return k, nil
 }
 
-// onShardEvent is the control-plane entry point for shard events: an
-// arrived block changing owner back to the control loop, or a fatal
-// data-path error detected on a shard.
-func (k *Sink) onShardEvent(ev sinkEvent) {
-	if k.closed {
+// onDataWC takes every data-QP completion: WRITE WITH IMMEDIATE
+// arrivals and pull-mode READs. (Explicit-notification mode delivers
+// arrivals on the control QP, so it sees only flushes here.)
+func (k *Sink) onDataWC(wc verbs.WC) {
+	if k.closed || wc.Status == verbs.StatusFlushed {
 		return
 	}
-	switch ev.kind {
-	case sinkEvArrived:
-		k.markArrived(ev.b)
-	case sinkEvFetched:
-		k.readArrived(ev.b)
-	case sinkEvReadErr:
-		k.readReverted(ev.b, ev.err)
-	case sinkEvFail:
-		k.fail(ev.err)
+	if wc.Status != verbs.StatusSuccess {
+		k.fail(fmt.Errorf("core: data QP failure: %v", wc.Status))
+		return
 	}
+	if wc.Op == verbs.OpRead {
+		k.readWC(wc)
+		return
+	}
+	if wc.Op != verbs.OpWriteImm {
+		return
+	}
+	// Replenish the consumed notification receive on the same QP.
+	if ch, ok := k.chOf[wc.QP]; ok {
+		if err := k.ep.repostDataNotifyRecv(ch, wc.WRID); err != nil && err != ErrClosed {
+			k.fail(fmt.Errorf("core: reposting notify recv: %w", err))
+			return
+		}
+	}
+	k.handleImmNotify(wc)
 }
 
 // Stats returns a snapshot of connection-level statistics.
@@ -240,22 +247,21 @@ func (k *Sink) Close() {
 		return
 	}
 	k.closed = true
-	k.dead.Store(true)
-	// A session marked finished at this point has its whole stream
-	// stored and its DATASET_COMPLETE ack queued — only the ack's send
-	// completion (which fires finishSession) is outstanding, and the
-	// teardown may have outrun it. Retire such sessions as the
-	// completions they are, so OnSessionDone fires and the scheduler
-	// and gauges settle instead of stranding them in the session table.
-	var ackPending []*sinkSession
-	for _, sess := range k.sessions {
+	// Every live session ends here, and OnSessionDone fires once for
+	// each. A session marked finished has its whole stream stored and
+	// its DATASET_COMPLETE ack queued — only the ack's send completion
+	// (which fires finishSession) is outstanding, and the teardown may
+	// have outrun it: it retires as the completion it is. Any other
+	// session can no longer complete and fails with ErrClosed; the
+	// flushed completions of a peer that vanished mid-transfer would
+	// never end it.
+	for _, sess := range slices.Clone(k.schedOrder) {
 		if sess.finished {
-			ackPending = append(ackPending, sess)
+			sess.finished = false
+			k.finishSession(sess, nil, true)
+		} else {
+			k.finishSession(sess, ErrClosed, false)
 		}
-	}
-	for _, sess := range ackPending {
-		sess.finished = false
-		k.finishSession(sess, nil, true)
 	}
 	k.ep.Close()
 	if k.pool != nil {
@@ -717,8 +723,6 @@ func (k *Sink) handleMRRequest(c *wire.Control) {
 	if k.winBoost < k.cfg.SinkBlocks {
 		k.winBoost += k.cfg.OnDemandBatch
 	}
-	// The free list is control-owned state; counting block states would
-	// race with the shards that own granted blocks.
 	if k.pool == nil || len(k.pool.free) == 0 {
 		k.pendingReq = append(k.pendingReq, sess.info.ID)
 		return
@@ -750,6 +754,21 @@ func (k *Sink) handleBlockComplete(c *wire.Control) {
 	b, err := k.grantedRegion(c.RKey)
 	if err == nil {
 		err = k.arrive(b, c.Session, int64(c.Seq), int(c.Length))
+	}
+	if err != nil {
+		k.fail(err)
+		return
+	}
+	k.markArrived(b)
+}
+
+// handleImmNotify processes a WRITE WITH IMMEDIATE arrival: the
+// immediate value is the rkey of the consumed region, the completion's
+// byte count the only other thing the notice says.
+func (k *Sink) handleImmNotify(wc verbs.WC) {
+	b, err := k.grantedRegion(wc.Imm)
+	if err == nil {
+		err = k.arrive(b, b.session, -1, wc.ByteLen-wire.BlockHeaderSize)
 	}
 	if err != nil {
 		k.fail(err)
@@ -812,10 +831,9 @@ func checkArrival(b *block, session uint32, seq int64, payloadLen int) (wire.Blo
 }
 
 // arrive validates a landed block and performs the data-plane half of
-// its arrival on whichever loop owns it (a reactor shard for immediates
-// and READs, the control loop under explicit notification): the region
-// holds a complete block, waiting/fetching → data-ready, with the
-// header's identity stamped in.
+// its arrival, whichever notice announced it: the region holds a
+// complete block, waiting/fetching → data-ready, with the header's
+// identity stamped in.
 func (k *Sink) arrive(b *block, session uint32, seq int64, payloadLen int) error {
 	hdr, err := checkArrival(b, session, seq, payloadLen)
 	if err != nil {
@@ -831,8 +849,7 @@ func (k *Sink) arrive(b *block, session uint32, seq int64, payloadLen int) error
 }
 
 // markArrived is the control-plane half of a pushed arrival: the credit
-// ledger, then the shared accept, then replacement grants. The block is
-// control-owned again.
+// ledger, then the shared accept, then replacement grants.
 func (k *Sink) markArrived(b *block) {
 	k.settleCredit(b)
 	sess := k.sessions[b.session]

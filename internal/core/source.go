@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"rftp/internal/invariant"
@@ -19,23 +18,22 @@ import (
 // queue pairs with RDMA WRITE, notifying the sink of each completed
 // block on the control queue pair.
 //
-// All methods must be called from the endpoint's control loop (or
-// before any fabric activity); all callbacks are delivered on that
-// loop. On a sharded endpoint the WRITE posting and completion path
-// runs on the reactor shards (see shard.go); everything else stays on
-// the control loop.
+// All methods must be called from the endpoint's loop (or before any
+// fabric activity); all callbacks, data completions included, are
+// delivered on that loop.
 type Source struct {
 	ep  *Endpoint
 	cfg Config
 
-	pool   *pool
-	shards []*srcShard
+	pool *pool
+	wr   verbs.SendWR // reused WRITE WR (PostSend copies)
 	// creditCount is the sum of per-session credit stashes (sessions own
 	// their credits; the sink's scheduler targets grants by session id).
 	creditCount int
 
-	// pumping/repump collapse re-entrant pump calls (an inline shard
-	// handoff can bounce an event back mid-postWrites) into one loop.
+	// pumping/repump collapse re-entrant pump calls (a WRITE that cannot
+	// be posted reverts through postReverted, which pumps, from inside
+	// postWrites) into one loop.
 	pumping bool
 	repump  bool
 
@@ -74,11 +72,6 @@ type Source struct {
 	stats  Stats
 	closed bool
 	failed error
-	// dead is the only Source field shards read without an ownership
-	// handoff: it is set exclusively by Close so late completions stop
-	// touching torn-down state, exactly where the unsharded reactor
-	// checked closed.
-	dead atomic.Bool
 	// OnError observes fatal connection-level failures.
 	OnError func(error)
 	// OnProgress, when set, observes cumulative payload bytes confirmed
@@ -196,27 +189,9 @@ func NewSource(ep *Endpoint, cfg Config) (*Source, error) {
 	}
 	s.writeSweep.step, s.advertSweep.step = s.tryWrite, s.tryAdvert
 	s.loads = ioTasks[*srcSession]{loop: ep.Loop, done: s.loadDone}
-	for i := range ep.DataCQs {
-		s.shards = append(s.shards, newSrcShard(s, i, cfg.IODepth+dataQueueSlack))
-	}
+	ep.DataCQ.SetHandler(s.onDataWC)
 	ep.ctrl.claim(s.handleCtrl, s.fail)
 	return s, nil
-}
-
-// onShardEvent is the control-plane entry point for shard events: the
-// block in the event just changed owner, back to the control loop.
-func (s *Source) onShardEvent(ev srcEvent) {
-	if s.closed {
-		return
-	}
-	switch ev.kind {
-	case srcEvWriteDone:
-		s.writeDone(ev.b, ev.status)
-	case srcEvPostFull:
-		s.postReverted(ev.b, verbs.ErrSendQueueFull)
-	case srcEvPostErr:
-		s.postReverted(ev.b, ev.err)
-	}
 }
 
 // Stats returns a snapshot of connection-level statistics.
@@ -281,7 +256,6 @@ func (s *Source) Close() {
 		return
 	}
 	s.closed = true
-	s.dead.Store(true)
 	s.failSessions(ErrClosed)
 	s.ep.Close()
 	s.pool.release(s.inv)
@@ -486,9 +460,9 @@ func (s *Source) pump() {
 	if s.failed != nil || s.closed {
 		return
 	}
-	// A shard event arriving inline (shard 0 shares this loop) can call
-	// pump from inside postWrites; fold such calls into one outer loop
-	// instead of recursing through a half-advanced state machine.
+	// A WRITE that fails to post calls pump from inside postWrites; fold
+	// such calls into one outer loop instead of recursing through a
+	// half-advanced state machine.
 	if s.pumping {
 		s.repump = true
 		return
@@ -690,17 +664,16 @@ func (s *Source) totalLoads() int64 {
 	return n
 }
 
-// postWrites pairs loaded blocks with credits and channels, then hands
-// each block to its channel's reactor shard for the actual PostSend: a
-// session out of credits (or out of data) is skipped by the sweep, the
-// multiplexed replacement for the old global FIFO's head-of-line
-// blocking.
+// postWrites pairs loaded blocks with credits and channels and posts
+// each as an RDMA WRITE: a session out of credits (or out of data) is
+// skipped by the sweep, the multiplexed replacement for the old global
+// FIFO's head-of-line blocking.
 func (s *Source) postWrites() { s.writeSweep.run(&s.rrSessions) }
 
 // tryWrite is postWrites' per-session step. The accounting (credit
-// consumed, inflight counters) is committed here, before the handoff; a
-// shard that cannot post sends the block back and postReverted undoes
-// it.
+// consumed, inflight counters) is committed here, before the post; a
+// WRITE that cannot be posted goes back through postReverted, which
+// undoes it.
 func (s *Source) tryWrite(sess *srcSession) step {
 	// Pull sessions advertise instead of writing; a switching session
 	// must stop consuming credits the moment the handshake starts — the
@@ -737,14 +710,60 @@ func (s *Source) tryWrite(sess *srcSession) step {
 		s.tel.creditStash.Set(int64(s.creditCount))
 		s.tel.inflight.Set(s.totalInflight())
 	}
-	// Ownership handoff: the shard encodes, posts, and completes the
-	// Sending→Waiting transition (or bounces the block back).
-	s.shards[s.ep.shardIndex(ch)].inbox.send(b)
+	s.post(b)
 	return stepTook
 }
 
-// postReverted undoes postWrites' accounting for a block the shard
-// could not post. ErrSendQueueFull marks the channel saturated (the
+// post sends one block down its channel. The block is in Sending state
+// with credit and channel already chosen.
+func (s *Source) post(b *block) {
+	hdr := wire.BlockHeader{
+		Session: b.session, Seq: b.seq, Offset: b.offset,
+		PayloadLen: uint32(b.payloadLen), Last: b.last,
+	}
+	wr := &s.wr
+	*wr = verbs.SendWR{
+		WRID:   uint64(b.idx),
+		Op:     verbs.OpWrite,
+		Remote: wire2remote(b.credit),
+	}
+	if s.cfg.NotifyViaImm {
+		// The immediate value names the consumed region; the sink
+		// reads everything else from the block header it owns.
+		wr.Op = verbs.OpWriteImm
+		wr.Imm = b.credit.RKey
+	}
+	if s.cfg.ModelPayload {
+		wire.EncodeBlockHeader(b.hdrBuf[:], hdr)
+		wr.Data = b.hdrBuf[:]
+		wr.ModelBytes = b.payloadLen
+	} else {
+		wire.EncodeBlockHeader(b.mr.Buf, hdr)
+		wr.Data = b.mr.Buf[:wire.BlockHeaderSize+b.payloadLen]
+	}
+	if err := s.ep.Data[b.chIdx].PostSend(wr); err != nil {
+		b.setState(BlockLoaded)
+		if !s.closed {
+			s.postReverted(b, err)
+		}
+		return
+	}
+	b.setState(BlockWaiting)
+	b.spans.SetChannel(b.spanRef, b.chIdx)
+	s.Trace.Emit(trace.Event{Cat: trace.CatBlock, Name: "posted",
+		Session: b.session, Block: b.seq, Channel: int32(b.chIdx), V1: int64(b.payloadLen)})
+	if t := &s.tel; t.reg != nil {
+		b.tPost = s.ep.Loop.Now()
+		t.creditWait.Observe(int64(b.tPost - b.tReady))
+		t.blocksPosted.Inc()
+		t.bytesPosted.Add(int64(b.payloadLen))
+		t.chBlocks[b.chIdx].Inc()
+		t.chBytes[b.chIdx].Add(int64(b.payloadLen))
+	}
+}
+
+// postReverted undoes postWrites' accounting for a block that could
+// not be posted. ErrSendQueueFull marks the channel saturated (the
 // flag clears on the channel's next completion, exactly when a send
 // slot frees); any other error kills the channel.
 func (s *Source) postReverted(b *block, err error) {
@@ -762,7 +781,7 @@ func (s *Source) postReverted(b *block, err error) {
 		// ledger keeps matching the stash totals.
 		invariant.CreditGrant(s.inv, 1)
 	} else {
-		// The owning session died while the block was with the shard:
+		// The owning session died while the block was being posted:
 		// the credit stays consumed — the sink reclaims the backing
 		// region at session teardown.
 		s.discard(sess, b)
@@ -844,8 +863,20 @@ func (s *Source) liveChannels() int {
 	return n
 }
 
-// writeDone handles a WRITE completion forwarded by the block's shard
-// (the block is control-owned again).
+// onDataWC takes a WRITE completion, one per block post sent. Once
+// Close ran, or after failure handling recycled the block, it is stale.
+func (s *Source) onDataWC(wc verbs.WC) {
+	if s.closed {
+		return
+	}
+	b := s.pool.byIdx(int(wc.WRID))
+	if b == nil || b.state != BlockWaiting {
+		return
+	}
+	s.writeDone(b, wc.Status)
+}
+
+// writeDone settles one posted WRITE by its completion status.
 func (s *Source) writeDone(b *block, status verbs.Status) {
 	s.chInflight[b.chIdx]--
 	invariant.GaugeAdd(s.inv, "ch.inflight", b.chIdx, -1)

@@ -75,9 +75,7 @@ func (s *Source) noteStall() {
 	case loads > 0 && s.loadsAtDepth():
 		c = spans.CauseLoadPending
 	case s.totalInflight() > 0:
-		// chInflight counts blocks handed to the shards (sending or
-		// waiting on the wire) and is control-owned; inspecting block
-		// states here would race with the shards that own them.
+		// chInflight counts blocks posted and waiting on the wire.
 		c = spans.CauseWireBound
 	case s.advertCount > 0:
 		// Everything loaded is advertised and the sink holds the ball:

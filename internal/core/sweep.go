@@ -27,9 +27,9 @@ func (w *sweep[T]) run(list *[]T) {
 		progress = false
 		n := len(*list)
 		for i := 0; i < n; i++ {
-			// A step can bounce a completion back into the control plane
-			// mid-loop (inline shard handoff) and remove a session; index
-			// against the live length, not the snapshot.
+			// A step can fail a post and re-enter the state machine
+			// mid-loop, removing a session; index against the live
+			// length, not the snapshot.
 			m := len(*list)
 			if m == 0 {
 				return

@@ -279,20 +279,29 @@ func testAccessError(t *testing.T, p *Pair) {
 	lmr, _ := p.A.RegisterMR(e.pdA, make([]byte, 64), verbs.AccessLocalWrite)
 	bad := rmr.Remote(0)
 	bad.RKey++ // an lkey, never an rkey
+	posted := 0
 	for i, remote := range []verbs.RemoteAddr{bad, rmr.Remote(0), rmr.Remote(0)} {
-		if err := e.qpA.PostSend(&verbs.SendWR{WRID: uint64(30 + i), Op: verbs.OpRead,
-			Remote: remote, ReadLen: 64, Local: lmr}); err != nil {
+		err := e.qpA.PostSend(&verbs.SendWR{WRID: uint64(30 + i), Op: verbs.OpRead,
+			Remote: remote, ReadLen: 64, Local: lmr})
+		if err == verbs.ErrQPError && i > 0 {
+			// The bad READ's error came back before this post (a real
+			// transport can answer it that fast): the QP refuses the
+			// rest, and only what it accepted completes.
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
+		posted++
 	}
-	e.settleCount(t, e.wcsA, 3)
-	for i, want := range []verbs.Status{verbs.StatusRemoteAccessError, verbs.StatusFlushed, verbs.StatusFlushed} {
+	e.settleCount(t, e.wcsA, posted)
+	for i, want := range []verbs.Status{verbs.StatusRemoteAccessError, verbs.StatusFlushed, verbs.StatusFlushed}[:posted] {
 		if wc := e.wcsA.get(i); wc.WRID != uint64(30+i) || wc.Status != want {
 			t.Fatalf("READ completion %d: %+v, want WRID %d %v", i, wc, 30+i, want)
 		}
 	}
-	if n := e.wcsA.count(); n != 3 {
-		t.Fatalf("%d READ completions, want 3", n)
+	if n := e.wcsA.count(); n != posted {
+		t.Fatalf("%d READ completions, want %d", n, posted)
 	}
 }
 

@@ -48,8 +48,8 @@ func chanFactory(t *testing.T) *Pair {
 	da := fab.NewDevice("chan-a")
 	db := fab.NewDevice("chan-b")
 	fab.Connect(da, db, chanfabric.Shaping{})
-	la := chanfabric.NewLoop("la")
-	lb := chanfabric.NewLoop("lb")
+	la := verbs.NewWallLoop("la")
+	lb := verbs.NewWallLoop("lb")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	return &Pair{
 		A: da, B: db,
@@ -83,8 +83,8 @@ func netFactory(t *testing.T) *Pair {
 		t.Fatal(r.err)
 	}
 	t.Cleanup(func() { client.Close(); r.d.Close() })
-	la := chanfabric.NewLoop("la")
-	lb := chanfabric.NewLoop("lb")
+	la := verbs.NewWallLoop("la")
+	lb := verbs.NewWallLoop("lb")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	nextCh := uint32(0)
 	settle := SettleRealtime(10 * time.Second)

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"rftp/internal/core"
-	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/trace"
+	"rftp/internal/verbs"
 )
 
 var mu sync.Mutex
@@ -50,7 +50,7 @@ func TestConcurrentConnections(t *testing.T) {
 			go func() {
 				defer serverWG.Done()
 				defer dev.Close()
-				loop := chanfabric.NewLoop(fmt.Sprintf("srv%d", i))
+				loop := verbs.NewWallLoop(fmt.Sprintf("srv%d", i))
 				defer loop.Stop()
 				ep, err := core.NewEndpoint(dev, loop, cfg.Channels, cfg.IODepth)
 				if err != nil {
@@ -103,7 +103,7 @@ func TestConcurrentConnections(t *testing.T) {
 				return
 			}
 			defer dev.Close()
-			loop := chanfabric.NewLoop(fmt.Sprintf("cli%d", i))
+			loop := verbs.NewWallLoop(fmt.Sprintf("cli%d", i))
 			defer loop.Stop()
 			ep, err := core.NewEndpoint(dev, loop, cfg.Channels, cfg.IODepth)
 			if err != nil {

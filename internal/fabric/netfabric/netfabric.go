@@ -240,7 +240,8 @@ type Device struct {
 	outQ    []*frame // swapped wholesale with the writer's batch slice
 	writing bool     // writer is mid-batch (for Close's drain wait)
 	closed  atomic.Bool
-	start   sync.Once // launches writer and reader at the first BindQP
+	torn    atomic.Bool // teardown ran: the reader and writer both call it
+	start   sync.Once   // launches writer and reader at the first BindQP
 
 	mu       sync.Mutex
 	nextPD   uint32
@@ -266,7 +267,7 @@ type Device struct {
 }
 
 // SetOnClose installs a callback observing connection teardown (EOF or
-// error). Safe to call while traffic is flowing.
+// error); it runs at most once. Safe to call while traffic is flowing.
 func (d *Device) SetOnClose(fn func(error)) {
 	d.onClose.Store(fn)
 }
@@ -565,9 +566,11 @@ func discard(r *bufio.Reader, n int) error {
 
 // teardown fails every bound QP after a connection error. Nothing will
 // answer what is on the wire any more, so each WR still awaiting an ACK
-// completes StatusFlushed, in posting order; then each QP flushes.
+// completes StatusFlushed, in posting order; then each QP flushes. It
+// runs once, whichever of the reader and the writer meets the broken
+// connection first.
 func (d *Device) teardown(err error) {
-	if d.closed.Load() {
+	if d.closed.Load() || !d.torn.CompareAndSwap(false, true) {
 		return
 	}
 	d.mu.Lock()

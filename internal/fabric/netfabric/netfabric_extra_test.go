@@ -3,17 +3,18 @@ package netfabric
 import (
 	"bufio"
 	"bytes"
+	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/telemetry"
 	"rftp/internal/verbs"
 )
 
 func TestRNRStallCounter(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, qb, cqA, cqB := boundQPs(t, a, b, la, lb, 0)
 	cqA.SetHandler(func(verbs.WC) {})
@@ -46,7 +47,7 @@ func TestRNRStallCounter(t *testing.T) {
 
 func TestByteCountersAdvance(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	done := make(chan verbs.WC, 1)
@@ -68,7 +69,7 @@ func TestByteCountersAdvance(t *testing.T) {
 
 func TestReadBadParamsRejectedLocally(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	cqA.SetHandler(func(verbs.WC) {})
@@ -89,7 +90,7 @@ func TestReadBadParamsRejectedLocally(t *testing.T) {
 
 func TestReadRemoteErrorOverTCP(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	got := make(chan verbs.WC, 1)
@@ -113,7 +114,7 @@ func TestReadRemoteErrorOverTCP(t *testing.T) {
 
 func TestUnsignaledSendOverTCP(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	var completions int
@@ -146,7 +147,7 @@ func TestUnsignaledSendOverTCP(t *testing.T) {
 
 func TestGoodbyeFrameTearsDown(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	cqA.SetHandler(func(verbs.WC) {})
@@ -168,6 +169,20 @@ func TestGoodbyeFrameTearsDown(t *testing.T) {
 			t.Fatal("QP survived goodbye")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTeardownReportsCloseOnce breaks one connection under both I/O
+// goroutines, as a peer that dies mid-transfer does: the close callback
+// must run once (rftpd closes a channel in it).
+func TestTeardownReportsCloseOnce(t *testing.T) {
+	a, _ := pair(t)
+	var calls atomic.Int32
+	a.SetOnClose(func(error) { calls.Add(1) })
+	a.teardown(io.EOF)           // the reader's read fails
+	a.teardown(io.ErrClosedPipe) // and then the writer's write
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("close callback ran %d times, want 1", n)
 	}
 }
 
@@ -224,7 +239,7 @@ func TestStatusMapping(t *testing.T) {
 // from Dial/Accept.
 func TestTelemetrySetBeforeFirstBind(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	cqA := a.CreateCQ(la, 16).(*verbs.UpcallCQ)
 	gotA := make(chan verbs.WC, 4)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"rftp/internal/core"
-	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/verbs"
 )
 
@@ -66,7 +65,7 @@ func boundQPs(t *testing.T, a, b *Device, la, lb verbs.Loop, ch uint32) (verbs.Q
 
 func TestFrameRoundTripOverTCP(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, qb, cqA, cqB := boundQPs(t, a, b, la, lb, 0)
 
@@ -104,7 +103,7 @@ func TestFrameRoundTripOverTCP(t *testing.T) {
 
 func TestWriteAndReadOverTCP(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	got := make(chan verbs.WC, 16)
@@ -151,7 +150,7 @@ func TestWriteAndReadOverTCP(t *testing.T) {
 
 func TestRemoteAccessErrorOverTCP(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	got := make(chan verbs.WC, 16)
@@ -172,7 +171,7 @@ func TestRemoteAccessErrorOverTCP(t *testing.T) {
 
 func TestEarlyFramesParkedUntilBind(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	// Bind only the sender side first.
 	cqA := a.CreateCQ(la, 16).(*verbs.UpcallCQ)
@@ -212,7 +211,7 @@ func TestEarlyFramesParkedUntilBind(t *testing.T) {
 
 func TestDuplicateBindRejected(t *testing.T) {
 	a, _ := pair(t)
-	la := chanfabric.NewLoop("a")
+	la := verbs.NewWallLoop("a")
 	t.Cleanup(func() { la.Stop() })
 	cq := a.CreateCQ(la, 4).(*verbs.UpcallCQ)
 	q1, _ := a.CreateQP(verbs.QPConfig{PD: a.AllocPD(), SendCQ: cq, RecvCQ: cq})
@@ -227,7 +226,7 @@ func TestDuplicateBindRejected(t *testing.T) {
 
 func TestPeerCloseFailsQPs(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	cqA.SetHandler(func(verbs.WC) {})
@@ -250,7 +249,7 @@ func TestPeerCloseFailsQPs(t *testing.T) {
 // peer's device closes, instead of waiting for an ACK that cannot come.
 func TestPeerCloseCompletesOutstanding(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	got := make(chan verbs.WC, 4)
@@ -279,7 +278,7 @@ func TestPeerCloseCompletesOutstanding(t *testing.T) {
 // TestRFTPOverTCP runs the full protocol core across a real socket.
 func TestRFTPOverTCP(t *testing.T) {
 	client, server := pair(t)
-	srcLoop, dstLoop := chanfabric.NewLoop("src"), chanfabric.NewLoop("dst")
+	srcLoop, dstLoop := verbs.NewWallLoop("src"), verbs.NewWallLoop("dst")
 	t.Cleanup(func() { srcLoop.Stop(); dstLoop.Stop() })
 
 	cfg := core.DefaultConfig()

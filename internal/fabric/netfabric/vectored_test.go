@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/telemetry"
 	"rftp/internal/verbs"
 )
@@ -20,7 +19,7 @@ import (
 func TestControlBurstInlinedAndCounted(t *testing.T) {
 	a, b := pair(t)
 	a.Telemetry = telemetry.NewFabricMetrics(nil)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, qb, cqA, cqB := boundQPs(t, a, b, la, lb, 0)
 
@@ -83,7 +82,7 @@ func TestControlBurstInlinedAndCounted(t *testing.T) {
 // (zero-copy) iovec path.
 func TestLargeSendBypassesInline(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, qb, cqA, cqB := boundQPs(t, a, b, la, lb, 0)
 
@@ -118,7 +117,7 @@ func TestLargeSendBypassesInline(t *testing.T) {
 // by zero-copy payload entries, then verifies both streams.
 func TestInterleavedInlineAndBulk(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, qb, cqA, cqB := boundQPs(t, a, b, la, lb, 0)
 

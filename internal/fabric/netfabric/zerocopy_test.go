@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"rftp/internal/fabric/chanfabric"
 	"rftp/internal/verbs"
 )
 
@@ -88,7 +87,7 @@ func writeBlocks(tb testing.TB, qa verbs.QP, done chan verbs.WC, block []byte, r
 // without payload-sized allocations per block.
 func TestWritePathZeroCopy(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := boundQPs(t, a, b, la, lb, 0)
 	done := make(chan verbs.WC, 1)
@@ -141,7 +140,7 @@ func TestWritePathZeroCopy(t *testing.T) {
 // multi-channel transfer depends on.
 func TestOutOfOrderBlockReassembly(t *testing.T) {
 	a, b := pair(t)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	t.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa1, _, cq1, _ := boundQPs(t, a, b, la, lb, 1)
 	qa2, _, cq2, _ := boundQPs(t, a, b, la, lb, 2)
@@ -227,8 +226,8 @@ func TestConcurrentMultiChannelWriteRead(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, channels)
 	for c := 0; c < channels; c++ {
-		la := chanfabric.NewLoop("a")
-		lb := chanfabric.NewLoop("b")
+		la := verbs.NewWallLoop("a")
+		lb := verbs.NewWallLoop("b")
 		t.Cleanup(func() { la.Stop(); lb.Stop() })
 		qa, _, cqA, _ := boundQPs(t, a, b, la, lb, uint32(c+1))
 		wcs := make(chan verbs.WC, 8)
@@ -300,7 +299,7 @@ func (e *errWC) Error() string { return "netfabric test: " + e.op }
 // payload bytes per op as a custom metric (0 = zero-copy end to end).
 func BenchmarkWriteBlockThroughput(b *testing.B) {
 	devA, devB := newPair(b)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	b.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, _, cqA, _ := newBoundQPs(b, devA, devB, la, lb, 0)
 	done := make(chan verbs.WC, 1)
@@ -330,7 +329,7 @@ func BenchmarkWriteBlockThroughput(b *testing.B) {
 // (one copy at placement, zero allocations steady-state).
 func BenchmarkSendRecvThroughput(b *testing.B) {
 	devA, devB := newPair(b)
-	la, lb := chanfabric.NewLoop("a"), chanfabric.NewLoop("b")
+	la, lb := verbs.NewWallLoop("a"), verbs.NewWallLoop("b")
 	b.Cleanup(func() { la.Stop(); lb.Stop() })
 	qa, qb, cqA, cqB := newBoundQPs(b, devA, devB, la, lb, 0)
 	acks := make(chan verbs.WC, 1)

@@ -273,13 +273,11 @@ type Config struct {
 // aggregates completed spans. A nil *Recorder is valid and free.
 //
 // Per-slot stamping (Transition between non-Free states, SetKey,
-// SetChannel) is lock-free: a block's ref is owned by exactly one loop
-// at a time (ownership moves with the block through the sharded
-// reactors' mailboxes, which establish the happens-before edge), and
-// the per-slot seqlock covers concurrent readers. Slot allocation and
-// release touch recorder-wide structures (free list, sampling tick,
-// completed ring, aggregate maps) and take mu, so transitions may be
-// stamped from any reactor shard, not just one owning loop.
+// SetChannel) is lock-free: a block's ref is stamped only by the one
+// event loop that owns the block's connection, and the per-slot
+// seqlock covers concurrent readers. Slot allocation and release touch
+// recorder-wide structures (free list, sampling tick, completed ring,
+// aggregate maps) and take mu.
 type Recorder struct {
 	kind   Kind
 	clock  func() time.Duration

@@ -17,7 +17,9 @@
 // pair's semantics live here once, not in the fabrics: RCQP holds the
 // RC rules (states, work-request validation, send and receive queues,
 // the error and flush rule) and UpcallCQ the completion queue. A fabric
-// is a transport that moves a QP's messages and calls into both.
+// is a transport that moves a QP's messages and calls into both. The
+// real-byte fabrics deliver onto WallLoop, a goroutine running posted
+// closures in wall-clock time.
 //
 // Payload modeling: a work request carries Data (real bytes, always used
 // for protocol headers) plus ModelBytes (additional modeled payload for
@@ -116,8 +118,8 @@ var (
 // Loop is the execution context completions and timers are delivered on.
 // Implementations serialize all posted closures (one event-loop thread
 // per host, matching the paper's event-driven design). The cost argument
-// is the CPU time the work consumes; real-time loops ignore it, modeled
-// loops charge it to the thread.
+// is the CPU time the work consumes; real-time loops (WallLoop) ignore
+// it, modeled loops (hostmodel's threads) charge it to the thread.
 type Loop interface {
 	Now() time.Duration
 	Post(cost time.Duration, fn func())
