@@ -23,7 +23,14 @@ const (
 	maxShift = 26
 )
 
-var classes [maxShift - minShift + 1]sync.Pool
+// classes hold pooled buffers as *[]byte boxes (a slice header stored
+// in an interface would allocate). boxes recycles the boxes themselves:
+// Get empties the one it took a buffer out of, and Put draws from it,
+// so a Get/Put cycle allocates nothing.
+var (
+	classes [maxShift - minShift + 1]sync.Pool
+	boxes   sync.Pool
+)
 
 // classFor returns the pool index for a capacity, or -1 when the size
 // is outside the pooled range.
@@ -50,7 +57,11 @@ func Get(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := classes[c].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
+		box := v.(*[]byte)
+		buf := (*box)[:n]
+		*box = nil
+		boxes.Put(box)
+		return buf
 	}
 	return make([]byte, n, 1<<(c+minShift))
 }
@@ -67,6 +78,10 @@ func Put(buf []byte) {
 	if idx < 0 || 1<<(idx+minShift) != c {
 		return
 	}
-	b := buf[:c]
-	classes[idx].Put(&b)
+	box, _ := boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = buf[:c]
+	classes[idx].Put(box)
 }

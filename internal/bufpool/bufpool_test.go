@@ -98,6 +98,15 @@ func TestPutWrongCapacityDoesNotPoisonClass(t *testing.T) {
 	}
 }
 
+// TestGetPutNoAlloc: a steady Get/Put cycle recycles both the buffer
+// and the box the class pool holds it in.
+func TestGetPutNoAlloc(t *testing.T) {
+	allocs := testing.AllocsPerRun(1000, func() { Put(Get(8 << 10)) })
+	if allocs != 0 {
+		t.Fatalf("Put(Get(8 KiB)) allocates %v times per cycle", allocs)
+	}
+}
+
 // TestZeroLengthRoundTrip pins the documented n <= 0 contract.
 func TestZeroLengthRoundTrip(t *testing.T) {
 	if b := Get(0); b != nil {

@@ -190,3 +190,41 @@ func TestCtrlPlaneHandlesBeforeRepost(t *testing.T) {
 		}
 	}
 }
+
+// TestCtrlPlaneFailsAfterQueuedMessages: when the peer sends a grant
+// and then DATASET_COMPLETE_ACK and closes, the grant's repost can meet
+// the errored queue pair while the ack's completion already waits on
+// the loop. The ack must reach the owner before the repost failure
+// does, or a session that completed is reported failed.
+func TestCtrlPlaneFailsAfterQueuedMessages(t *testing.T) {
+	_, epB, _, lb := newCtrlPair(t)
+	epB.Ctrl = &recvFailQP{QP: epB.Ctrl, failFrom: 1}
+	events := make(chan string, 4) // two handles, one fail per failed repost
+	epB.ctrl.claim(
+		func(c *wire.Control) { events <- fmt.Sprintf("handle %v", c.Type) },
+		func(error) { events <- "fail" })
+	recv := func(c *wire.Control) func() {
+		data, err := c.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc := verbs.WC{Op: verbs.OpRecv, Status: verbs.StatusSuccess, Data: data}
+		return func() { epB.ctrl.onWC(wc) }
+	}
+	// Both completions are queued before the first runs.
+	hold := make(chan struct{})
+	lb.Post(0, func() { <-hold })
+	lb.Post(0, recv(&wire.Control{Type: wire.MsgMRInfoResponse, Credits: []wire.Credit{{Len: 1}}}))
+	lb.Post(0, recv(&wire.Control{Type: wire.MsgDatasetCompleteAck}))
+	close(hold)
+	for _, want := range []string{"handle MR_INFO_RESPONSE", "handle DATASET_COMPLETE_ACK", "fail"} {
+		select {
+		case got := <-events:
+			if got != want {
+				t.Fatalf("control plane did %q, want %q next", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timeout waiting for %q", want)
+		}
+	}
+}

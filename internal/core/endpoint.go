@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"rftp/internal/invariant"
 	"rftp/internal/ringq"
 	"rftp/internal/verbs"
 	"rftp/internal/wire"
@@ -101,6 +102,7 @@ func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth,
 	// half-built or never-claimed endpoint flushes posted receives, and
 	// those completions must find someone home.
 	ep.ctrl.ep = ep
+	ep.ctrl.rx.Credits = ep.ctrl.rxCredits[:0]
 	ep.CtrlCQ = verbs.NewUpcallCQ(ep.Loop)
 	ep.CtrlCQ.SetHandler(ep.ctrl.onWC)
 	ep.DataCQ = verbs.NewUpcallCQ(ep.Loop)
@@ -160,14 +162,27 @@ func unclaimedDataWC(wc verbs.WC) {
 // over the control QP: encode → queue → post → send completion, and
 // receive → decode → hand to the owner → repost. Source and Sink differ
 // only in what handle does with a decoded message.
+//
+// In steady state the plane allocates nothing: messages encode into
+// ctrlBufSize buffers recycled through free, and every receive decodes
+// into the one plane-owned rx, whose credits live in rxCredits.
 type ctrlPlane struct {
 	ep *Endpoint
 	// sendQ holds encoded messages the send queue had no room for;
-	// posted holds one completion callback (often nil) per message on
-	// the wire, in posting order — an RC queue pair completes in order.
+	// posted holds each message on the wire, in posting order — an RC
+	// queue pair completes in order. A message's buffer belongs to the
+	// fabric until its send completes (verbs.QP.PostSend); a successful
+	// completion returns it to free, while a flushed or failed one
+	// leaves it to the garbage collector.
 	sendQ  ringq.Ring[ctrlMsg]
-	posted ringq.Ring[func()]
+	posted ringq.Ring[ctrlMsg]
+	free   [][]byte
 	wr     verbs.SendWR // reused post WR (PostSend copies)
+	// rx is the decode target of every receive. onWC is never
+	// re-entered (completions reach it through Loop.Post), so one is
+	// enough.
+	rx        wire.Control
+	rxCredits [wire.MaxCreditsPerMsg]wire.Credit
 	// owner is set by claim, possibly from another goroutine than the
 	// control loop (rftpd builds its Sink on the accept goroutine after
 	// the QPs are bound). held keeps, in arrival order, completions that
@@ -183,7 +198,11 @@ type ctrlMsg struct {
 }
 
 // ctrlOwner is what a Source or Sink plugs into the control plane: its
-// message dispatch and its connection-fatal error path.
+// message dispatch and its connection-fatal error path. handle's
+// message, credits included, is the plane's decode storage and is
+// overwritten by the next receive: handle must not keep the pointer or
+// c.Credits past its return (Source copies credits into its stash, Sink
+// copies advert fields into a fetchAdvert).
 type ctrlOwner struct {
 	handle func(*wire.Control)
 	fail   func(error)
@@ -209,13 +228,28 @@ func (cp *ctrlPlane) replay() {
 // never for a message flushed by teardown. Sends are signaled so
 // completions drain the queue when the send queue was momentarily full.
 func (cp *ctrlPlane) send(c *wire.Control, onSent func()) {
-	buf, err := c.Encode(nil)
+	var buf []byte
+	if n := len(cp.free); n > 0 {
+		buf = cp.free[n-1]
+		cp.free = cp.free[:n-1]
+	} else {
+		buf = make([]byte, 0, ctrlBufSize)
+	}
+	buf, err := c.Encode(buf[:0])
 	if err != nil {
 		cp.owner.Load().fail(fmt.Errorf("core: encoding %v: %w", c.Type, err))
 		return
 	}
 	cp.sendQ.Push(ctrlMsg{buf: buf, onSent: onSent})
 	cp.pump()
+}
+
+// recycle returns a sent message's buffer to the free list. Debug
+// builds poison it first, so a fabric that still read it after the
+// completion would deliver 0xDB bytes and fail decode at the peer.
+func (cp *ctrlPlane) recycle(buf []byte) {
+	invariant.PoisonFill(buf)
+	cp.free = append(cp.free, buf)
 }
 
 // pump posts queued messages while the send queue accepts them;
@@ -236,7 +270,7 @@ func (cp *ctrlPlane) pump() {
 			return
 		}
 		cp.sendQ.Pop()
-		cp.posted.Push(m.onSent)
+		cp.posted.Push(m)
 	}
 }
 
@@ -255,23 +289,27 @@ func (cp *ctrlPlane) onWC(wc verbs.WC) {
 		return
 	}
 	if wc.Op != verbs.OpRecv {
-		if cb, _ := cp.posted.Pop(); cb != nil {
-			cb()
+		m, _ := cp.posted.Pop()
+		cp.recycle(m.buf)
+		if m.onSent != nil {
+			m.onSent()
 		}
 		cp.pump() // a send slot freed
 		return
 	}
-	c, err := wire.DecodeControl(wc.Data)
-	if err != nil {
+	if err := cp.rx.Decode(wc.Data); err != nil {
 		o.fail(fmt.Errorf("core: bad control message: %w", err))
 		return
 	}
 	// Handle, then repost: a message in hand outlives the QP it arrived
 	// on. The peer may close right after its last message (the sink
-	// after DATASET_COMPLETE_ACK), erroring this QP before the repost.
-	o.handle(c)
+	// after DATASET_COMPLETE_ACK), erroring this QP before the repost,
+	// while the completions of messages it sent before closing still
+	// wait on the loop. The failure is reported after them, so a
+	// session they complete is not failed first.
+	o.handle(&cp.rx)
 	if err := cp.ep.repostCtrlRecv(wc.WRID); err != nil && err != ErrClosed {
-		o.fail(fmt.Errorf("core: reposting control recv: %w", err))
+		cp.ep.Loop.Post(0, func() { o.fail(fmt.Errorf("core: reposting control recv: %w", err)) })
 	}
 }
 

@@ -55,8 +55,8 @@ func TestSinkKeepsAFetchBlockWhilePullSessionsLive(t *testing.T) {
 	}
 	k.handleCtrl(&wire.Control{Type: wire.MsgBlockAdvert, Session: pull.info.ID, Seq: 0,
 		Addr: 0x1000, RKey: 7, Length: 1024})
-	if k.readsInflight != 1 || len(pull.fetchQ) != 0 {
-		t.Fatalf("advert not fetched from the reserve: readsInflight=%d fetchQ=%d", k.readsInflight, len(pull.fetchQ))
+	if k.readsInflight != 1 || pull.fetchQ.Len() != 0 {
+		t.Fatalf("advert not fetched from the reserve: readsInflight=%d fetchQ=%d", k.readsInflight, pull.fetchQ.Len())
 	}
 }
 
@@ -72,13 +72,13 @@ func TestSinkReclaimPumpsQueuedFetches(t *testing.T) {
 	pull := open(true)
 	k.handleCtrl(&wire.Control{Type: wire.MsgBlockAdvert, Session: pull.info.ID, Seq: 0,
 		Addr: 0x1000, RKey: 7, Length: 1024})
-	if k.readsInflight != 0 || len(pull.fetchQ) != 1 {
-		t.Fatalf("advert should be parked on a dry pool: readsInflight=%d fetchQ=%d", k.readsInflight, len(pull.fetchQ))
+	if k.readsInflight != 0 || pull.fetchQ.Len() != 1 {
+		t.Fatalf("advert should be parked on a dry pool: readsInflight=%d fetchQ=%d", k.readsInflight, pull.fetchQ.Len())
 	}
 	// The push session aborts having written nothing: reclaim is safe
 	// at once and frees all eight blocks.
 	k.handleCtrl(&wire.Control{Type: wire.MsgAbort, Session: push.info.ID})
-	if k.readsInflight != 1 || len(pull.fetchQ) != 0 {
-		t.Fatalf("reclaim did not pump the parked fetch: readsInflight=%d fetchQ=%d", k.readsInflight, len(pull.fetchQ))
+	if k.readsInflight != 1 || pull.fetchQ.Len() != 0 {
+		t.Fatalf("reclaim did not pump the parked fetch: readsInflight=%d fetchQ=%d", k.readsInflight, pull.fetchQ.Len())
 	}
 }

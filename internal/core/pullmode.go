@@ -81,14 +81,13 @@ func (s *Source) advertWindow() int {
 func (s *Source) postAdverts() { s.advertSweep.run(&s.rrSessions) }
 
 func (s *Source) tryAdvert(sess *srcSession) step {
-	if sess.mode != ModePull || sess.switching || sess.aborting || len(sess.loadedQ) == 0 {
+	if sess.mode != ModePull || sess.switching || sess.aborting || sess.loadedQ.Len() == 0 {
 		return stepSkip
 	}
 	if s.advertCount >= s.advertWindow() {
 		return stepBlocked // window full; READ_DONEs will re-pump
 	}
-	b := sess.loadedQ[0]
-	sess.loadedQ = sess.loadedQ[1:]
+	b, _ := sess.loadedQ.Pop()
 	sess.queued--
 	s.advertise(sess, b)
 	return stepTook
@@ -309,7 +308,7 @@ func (k *Sink) handleAdvert(c *wire.Control) {
 		return
 	}
 	k.stats.Adverts++
-	sess.fetchQ = append(sess.fetchQ, fetchAdvert{
+	sess.fetchQ.Push(fetchAdvert{
 		seq: c.Seq, addr: c.Addr, rkey: c.RKey,
 		payloadLen: c.Length, offset: c.AssocData,
 		last: c.Flags&wire.FlagLastBlock != 0,
@@ -331,7 +330,7 @@ func (k *Sink) pumpFetches() {
 }
 
 func (k *Sink) tryFetch(sess *sinkSession) step {
-	if sess.finished || len(sess.fetchQ) == 0 {
+	if sess.finished || sess.fetchQ.Len() == 0 {
 		return stepSkip
 	}
 	// Channel before block, so a full wire never strands memory.
@@ -343,8 +342,7 @@ func (k *Sink) tryFetch(sess *sinkSession) step {
 	if b == nil {
 		return stepBlocked // pool dry; a store completion will re-pump
 	}
-	adv := sess.fetchQ[0]
-	sess.fetchQ = sess.fetchQ[1:]
+	adv, _ := sess.fetchQ.Pop()
 	k.issueFetch(sess, b, adv, ch)
 	return stepTook
 }
@@ -414,7 +412,7 @@ func (k *Sink) readReverted(b *block, err error) {
 		return
 	}
 	if sess := k.sessions[sessID]; sess != nil && !sess.finished {
-		sess.fetchQ = append([]fetchAdvert{adv}, sess.fetchQ...)
+		sess.fetchQ.PushFront(adv)
 	}
 }
 

@@ -328,7 +328,7 @@ func TestChanHybridModeSwitchRace(t *testing.T) {
 		}
 		backlog := 0
 		for _, sess := range p.sink.sessions {
-			backlog += len(sess.fetchQ)
+			backlog += sess.fetchQ.Len()
 		}
 		sinkCh <- [3]int{p.sink.readsInflight, reads, backlog}
 	})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rftp/internal/invariant"
+	"rftp/internal/ringq"
 	"rftp/internal/spans"
 	"rftp/internal/telemetry"
 	"rftp/internal/trace"
@@ -63,6 +64,9 @@ type Sink struct {
 	immMode    bool     // WRITE WITH IMMEDIATE notifications negotiated
 	granted    int      // credits outstanding at the source, all sessions
 	pendingReq []uint32 // sessions whose MR_INFO_REQUEST awaits a free block
+	// grantScratch holds the credits of the grant being built; sending
+	// encodes them before it returns, so the next grant reuses it.
+	grantScratch []wire.Credit
 
 	// Session manager (sessmgr.go): admission control and the
 	// per-tenant credit scheduler. schedOrder is the DRR sweep order;
@@ -164,7 +168,7 @@ type sinkSession struct {
 	// switch waiting for straggling WRITE arrivals to catch up with the
 	// source's reported count.
 	mode                TransferMode
-	fetchQ              []fetchAdvert
+	fetchQ              ringq.Ring[fetchAdvert]
 	pendingSwitchToPull bool
 	pendingSwitchCount  int64
 
@@ -387,7 +391,7 @@ var debugStallHook func(*Sink)
 // requests) use it directly. reason records which policy leg issued
 // the grant for telemetry and tracing. Returns the credits sent.
 func (k *Sink) grantCredits(sess *sinkSession, n int, reason grantReason) int {
-	got := k.sendGrantTo(sess, n, "grant_"+reason.String())
+	got := k.sendGrantTo(sess, n, grantTraceNames[reason])
 	k.tel.grants[reason].Add(int64(got))
 	return got
 }
@@ -412,7 +416,7 @@ func (k *Sink) sendGrantTo(sess *sinkSession, n int, traceName string) int {
 	if k.pushSessions < len(k.schedOrder) {
 		reserve = 1
 	}
-	var credits []wire.Credit
+	credits := k.grantScratch[:0]
 	for len(credits) < n && len(credits) < wire.MaxCreditsPerMsg && len(k.pool.free) > reserve {
 		b := k.pool.get()
 		b.setState(BlockWaiting)
@@ -423,6 +427,7 @@ func (k *Sink) sendGrantTo(sess *sinkSession, n int, traceName string) int {
 		invariant.GaugeAdd(k.inv, "sess.granted", int(sess.info.ID), 1)
 		credits = append(credits, wire.Credit{Addr: b.mr.Addr, RKey: b.mr.RKey, Len: uint32(k.blockSize)})
 	}
+	k.grantScratch = credits
 	if len(credits) == 0 {
 		return 0
 	}
@@ -1147,10 +1152,9 @@ func (k *Sink) finishSession(sess *sinkSession, err error, reclaim bool) {
 	// Un-fetched advertisements die with the session, but the source's
 	// drain must not: answer each with an unaccepted READ_DONE so the
 	// advertised blocks recycle.
-	for _, adv := range sess.fetchQ {
+	for adv, ok := sess.fetchQ.Pop(); ok; adv, ok = sess.fetchQ.Pop() {
 		k.sendCtrl(&wire.Control{Type: wire.MsgReadDone, Session: sess.info.ID, Seq: adv.seq, RKey: adv.rkey})
 	}
-	sess.fetchQ = nil
 	if i := slices.Index(k.schedOrder, sess); i >= 0 {
 		k.schedOrder = slices.Delete(k.schedOrder, i, i+1)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rftp/internal/invariant"
+	"rftp/internal/ringq"
 	"rftp/internal/spans"
 	"rftp/internal/trace"
 	"rftp/internal/verbs"
@@ -104,8 +105,8 @@ type srcSession struct {
 	// postWrites interleave sessions — one session exhausting its credit
 	// share can no longer park its blocks at the head of a shared FIFO
 	// and stall every other session behind it.
-	loadedQ []*block
-	credits []wire.Credit
+	loadedQ ringq.Ring[*block]
+	credits ringq.Ring[wire.Credit]
 	stalled bool // session-scoped MR_INFO_REQUEST outstanding
 	// aborting marks a session draining toward teardown: no new loads or
 	// posts are issued, in-flight loads and WRITEs are recycled as they
@@ -388,7 +389,9 @@ func (s *Source) handleCtrl(c *wire.Control) {
 			return
 		}
 		sess.stalled = false
-		sess.credits = append(sess.credits, c.Credits...)
+		for _, cr := range c.Credits {
+			sess.credits.Push(cr)
+		}
 		s.creditCount += len(c.Credits)
 		s.tel.creditsRecv.Add(int64(len(c.Credits)))
 		s.tel.creditStash.Set(int64(s.creditCount))
@@ -488,7 +491,7 @@ func (s *Source) pumpOnce() {
 	// the sink's scheduler knows which tenant to feed). Pull and
 	// mode-switching sessions don't consume credits, so they never ask.
 	for _, sess := range s.rrSessions {
-		if len(sess.loadedQ) == 0 || len(sess.credits) > 0 || sess.stalled || sess.aborting ||
+		if sess.loadedQ.Len() == 0 || sess.credits.Len() > 0 || sess.stalled || sess.aborting ||
 			sess.mode == ModePull || sess.switching {
 			continue
 		}
@@ -496,7 +499,7 @@ func (s *Source) pumpOnce() {
 		s.stats.CreditStalls++
 		s.tel.creditStalls.Inc()
 		s.Trace.Emit(trace.Event{Cat: trace.CatCredit, Name: "credit_stall",
-			Session: sess.id, V1: s.stats.CreditStalls, V2: int64(len(sess.loadedQ))})
+			Session: sess.id, V1: s.stats.CreditStalls, V2: int64(sess.loadedQ.Len())})
 		s.sendCtrl(&wire.Control{Type: wire.MsgMRInfoRequest, Session: sess.id})
 	}
 	// Credit conservation: every granted credit is either consumed by a
@@ -545,11 +548,11 @@ func (s *Source) issueLoads() {
 				continue
 			}
 			if share > 0 {
-				ahead := sess.loads + len(sess.loadedQ)
-				if ahead >= len(sess.credits)+share {
+				ahead := sess.loads + sess.loadedQ.Len()
+				if ahead >= sess.credits.Len()+share {
 					continue
 				}
-				if ahead >= len(sess.credits) && len(s.pool.free) <= reserve {
+				if ahead >= sess.credits.Len() && len(s.pool.free) <= reserve {
 					continue
 				}
 			}
@@ -650,7 +653,7 @@ func (s *Source) loadDone(sess *srcSession, b *block, n int, eof bool, err error
 		b.tReady = s.ep.Loop.Now()
 		s.tel.loadLatency.Observe(int64(b.tReady - b.tAcq))
 	}
-	sess.loadedQ = append(sess.loadedQ, b)
+	sess.loadedQ.Push(b)
 	sess.queued++
 	s.pump()
 }
@@ -680,11 +683,11 @@ func (s *Source) tryWrite(sess *srcSession) step {
 	// sink reclaims and re-grants its regions, so a late WRITE would land
 	// in another tenant's memory.
 	if sess.aborting || sess.mode == ModePull || sess.switching ||
-		len(sess.loadedQ) == 0 || len(sess.credits) == 0 {
+		sess.loadedQ.Len() == 0 || sess.credits.Len() == 0 {
 		return stepSkip
 	}
-	b := sess.loadedQ[0]
-	cr := sess.credits[0]
+	b, _ := sess.loadedQ.Peek()
+	cr, _ := sess.credits.Peek()
 	if int(cr.Len) < wire.BlockHeaderSize+b.payloadLen {
 		// Credit too small for this block: protocol violation (the block
 		// size was negotiated).
@@ -695,8 +698,8 @@ func (s *Source) tryWrite(sess *srcSession) step {
 	if ch < 0 {
 		return stepBlocked // all channels at depth; completions will re-pump
 	}
-	sess.loadedQ = sess.loadedQ[1:]
-	sess.credits = sess.credits[1:]
+	sess.loadedQ.Pop()
+	sess.credits.Pop()
 	s.creditCount--
 	invariant.CreditConsume(s.inv, 1)
 	b.credit = cr
@@ -774,8 +777,8 @@ func (s *Source) postReverted(b *block, err error) {
 	if sess != nil && !sess.aborting {
 		sess.inflight--
 		sess.queued++
-		sess.loadedQ = append([]*block{b}, sess.loadedQ...)
-		sess.credits = append([]wire.Credit{b.credit}, sess.credits...)
+		sess.loadedQ.PushFront(b)
+		sess.credits.PushFront(b.credit)
 		s.creditCount++
 		// The credit went back to the stash unused: re-grant so the
 		// ledger keeps matching the stash totals.
@@ -943,7 +946,7 @@ func (s *Source) writeDone(b *block, status verbs.Status) {
 			sess.inflight--
 			sess.queued++
 			b.setState(BlockLoaded)
-			sess.loadedQ = append([]*block{b}, sess.loadedQ...)
+			sess.loadedQ.PushFront(b)
 		}
 		s.pump()
 	}
@@ -971,13 +974,13 @@ func (s *Source) checkSessionCompletion() {
 // teardown): the sink reclaims the backing blocks when it processes
 // the session's DATASET_COMPLETE or ABORT, so our copies are dead.
 func (s *Source) dropCredits(sess *srcSession) {
-	n := len(sess.credits)
+	n := sess.credits.Len()
 	if n == 0 {
 		return
 	}
 	invariant.CreditConsume(s.inv, int64(n))
 	s.creditCount -= n
-	sess.credits = nil
+	sess.credits = ringq.Ring[wire.Credit]{}
 	s.tel.creditStash.Set(int64(s.creditCount))
 }
 
@@ -994,11 +997,10 @@ func (s *Source) abortSession(sess *srcSession, err error) {
 	sess.aborting = true
 	sess.abortErr = err
 	sess.stalled = false
-	for _, b := range sess.loadedQ {
+	for b, ok := sess.loadedQ.Pop(); ok; b, ok = sess.loadedQ.Pop() {
 		s.pool.recycle(b)
+		sess.queued--
 	}
-	sess.queued -= len(sess.loadedQ)
-	sess.loadedQ = nil
 	s.dropCredits(sess)
 	s.maybeFinishAbort(sess)
 	s.pump()

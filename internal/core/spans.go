@@ -56,9 +56,9 @@ func (s *Source) noteStall() {
 	queuedPush, queuedPull := 0, 0
 	for _, sess := range s.rrSessions {
 		if sess.mode == ModePull && !sess.switching {
-			queuedPull += len(sess.loadedQ)
+			queuedPull += sess.loadedQ.Len()
 		} else {
-			queuedPush += len(sess.loadedQ)
+			queuedPush += sess.loadedQ.Len()
 		}
 	}
 	var c spans.Cause
@@ -170,7 +170,7 @@ func (k *Sink) noteStall() {
 			if sess.finished || sess.mode != ModePull {
 				continue
 			}
-			fetchBacklog += len(sess.fetchQ)
+			fetchBacklog += sess.fetchQ.Len()
 			if !sess.haveLast {
 				pullLive = true
 			}

@@ -37,6 +37,15 @@ func (r grantReason) String() string {
 	}
 }
 
+// grantTraceNames name each reason's grant trace event, built once so
+// that tracing a grant builds no string.
+var grantTraceNames = func() (names [grantReasons]string) {
+	for r := range names {
+		names[r] = "grant_" + grantReason(r).String()
+	}
+	return names
+}()
+
 // reassemblyBuckets bounds the sink's out-of-order occupancy histogram
 // (how many data-ready blocks wait on the in-order delivery cursor).
 func reassemblyBuckets() []int64 {

@@ -187,9 +187,9 @@ func (q *QP) PostSend(wr *verbs.SendWR) error {
 	if q.dev.Telemetry != nil {
 		m.postedAt = time.Now()
 	}
-	// Copy payload: ownership of wr.Data stays with the caller until the
-	// completion, but copying here keeps the pipe safe even if the
-	// caller reuses the buffer early (matches DMA-at-post semantics
+	// Copy payload: wr.Data is the fabric's until the completion
+	// (verbs.QP.PostSend), but copying here keeps the pipe safe even if
+	// the caller reuses the buffer early (matches DMA-at-post semantics
 	// closely enough for an emulation). The copy lives in a pooled
 	// size-class buffer, recycled as soon as it is placed.
 	if len(wr.Data) > 0 {

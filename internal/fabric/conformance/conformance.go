@@ -64,6 +64,7 @@ type env struct {
 	p        *Pair
 	qpA, qpB verbs.QP
 	pdA, pdB *verbs.PD
+	cqA, cqB *verbs.UpcallCQ
 	wcsA     *collector
 	wcsB     *collector
 }
@@ -72,13 +73,13 @@ func newEnv(t *testing.T, p *Pair, cfg verbs.QPConfig) *env {
 	t.Helper()
 	e := &env{p: p, wcsA: &collector{}, wcsB: &collector{}}
 	e.pdA, e.pdB = p.A.AllocPD(), p.B.AllocPD()
-	cqA := p.A.CreateCQ(p.LoopA, 256).(*verbs.UpcallCQ)
-	cqB := p.B.CreateCQ(p.LoopB, 256).(*verbs.UpcallCQ)
-	cqA.SetHandler(e.wcsA.add)
-	cqB.SetHandler(e.wcsB.add)
+	e.cqA = p.A.CreateCQ(p.LoopA, 256).(*verbs.UpcallCQ)
+	e.cqB = p.B.CreateCQ(p.LoopB, 256).(*verbs.UpcallCQ)
+	e.cqA.SetHandler(e.wcsA.add)
+	e.cqB.SetHandler(e.wcsB.add)
 	ca, cb := cfg, cfg
-	ca.PD, ca.SendCQ, ca.RecvCQ = e.pdA, cqA, cqA
-	cb.PD, cb.SendCQ, cb.RecvCQ = e.pdB, cqB, cqB
+	ca.PD, ca.SendCQ, ca.RecvCQ = e.pdA, e.cqA, e.cqA
+	cb.PD, cb.SendCQ, cb.RecvCQ = e.pdB, e.cqB, e.cqB
 	var err error
 	if e.qpA, err = p.A.CreateQP(ca); err != nil {
 		t.Fatalf("conformance: create QP A: %v", err)
@@ -115,6 +116,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("UnsignaledSend", func(t *testing.T) { testUnsignaled(t, factory(t)) })
 	t.Run("LargePayloadRoundTrip", func(t *testing.T) { testLargeRoundTrip(t, factory(t)) })
 	t.Run("PostRecvNoAlloc", func(t *testing.T) { testPostRecvNoAlloc(t, factory(t)) })
+	t.Run("SendBufferReuse", func(t *testing.T) { testSendBufferReuse(t, factory(t)) })
 }
 
 func testSendRecv(t *testing.T, p *Pair) {
@@ -527,6 +529,65 @@ func testLargeRoundTrip(t *testing.T, p *Pair) {
 	}
 	if !bytes.Equal(local, payload) {
 		t.Fatal("large read-back mismatch")
+	}
+}
+
+// testSendBufferReuse: a SEND's payload belongs to the fabric only
+// until the WR completes (verbs.QP.PostSend). A sender that overwrites
+// its one buffer and posts the next message from inside each send
+// completion must have every message delivered byte-exact and in
+// order. Sizes alternate between a small message and one of several
+// KiB, so a fabric that treats the two differently is held to the rule
+// on both paths.
+func testSendBufferReuse(t *testing.T, p *Pair) {
+	const n, maxSize = 32, 4096
+	e := newEnv(t, p, verbs.QPConfig{MaxSend: 4, MaxRecv: n})
+	for i := 0; i < n; i++ {
+		mr, err := p.B.RegisterMR(e.pdB, make([]byte, maxSize), verbs.AccessLocalWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.qpB.PostRecv(&verbs.RecvWR{WRID: uint64(i), MR: mr, Len: maxSize}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// message i is its own length and byte pattern.
+	message := func(dst []byte, i int) []byte {
+		dst = dst[:64+(i%2)*(maxSize-64)]
+		for j := range dst {
+			dst[j] = byte(i*31 + j)
+		}
+		return dst
+	}
+	buf := make([]byte, maxSize)
+	next := 0
+	post := func() error {
+		wr := &verbs.SendWR{WRID: uint64(next), Op: verbs.OpSend, Data: message(buf, next)}
+		next++
+		return e.qpA.PostSend(wr)
+	}
+	e.cqA.SetHandler(func(wc verbs.WC) {
+		e.wcsA.add(wc)
+		if wc.Status == verbs.StatusSuccess && next < n {
+			if err := post(); err != nil {
+				t.Errorf("posting message %d from the completion of %d: %v", next-1, wc.WRID, err)
+			}
+		}
+	})
+	if err := post(); err != nil {
+		t.Fatal(err)
+	}
+	e.settleCount(t, e.wcsB, n)
+	want := make([]byte, maxSize)
+	for i := 0; i < n; i++ {
+		wc := e.wcsB.get(i)
+		if wc.Status != verbs.StatusSuccess || wc.WRID != uint64(i) {
+			t.Fatalf("receive %d: %+v", i, wc)
+		}
+		if exp := message(want, i); !bytes.Equal(wc.Data, exp) {
+			t.Fatalf("message %d arrived corrupted (%d bytes, want %d): the fabric read its buffer after completing it",
+				i, len(wc.Data), len(exp))
+		}
 	}
 }
 

@@ -394,6 +394,10 @@ func (d *Device) writer() {
 	var batch []*frame
 	var hdrs []byte
 	var iov [][]byte
+	// bufs is the write's view of iov. WriteTo consumes it through a
+	// pointer, so it lives outside the loop: declared per batch, it
+	// would escape to the heap once per batch.
+	var bufs net.Buffers
 	for {
 		d.outMu.Lock()
 		for len(d.outQ) == 0 && !d.closed.Load() {
@@ -445,7 +449,7 @@ func (d *Device) writer() {
 		d.TxBytes.Add(uint64(total))
 		d.Telemetry.Tx(total)
 		d.Telemetry.TxBatch(len(batch))
-		bufs := net.Buffers(iov)
+		bufs = iov
 		_, err := bufs.WriteTo(d.conn)
 		if d.Telemetry != nil {
 			// One clock read amortized over the batch: every frame's

@@ -261,6 +261,10 @@ type QP interface {
 	ID() QPID
 	// PostSend enqueues a send-queue work request. It copies wr (not
 	// wr.Data), so the caller may reuse the WR once PostSend returns.
+	// wr.Data belongs to the fabric until the WR's completion: the
+	// fabric may read it at any point before then, and the caller may
+	// overwrite it from the completion on (from inside the completion
+	// handler included).
 	PostSend(wr *SendWR) error
 	// PostRecv enqueues a receive buffer. It copies wr, so the caller may
 	// reuse the WR once PostRecv returns.

@@ -32,10 +32,25 @@ func FuzzDecodeControl(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, ControlHeaderSize))
 	f.Add(bytes.Repeat([]byte{0x00}, ControlHeaderSize+16))
 
+	// reused carries the max-size grant into every input, so a Decode
+	// that leaves any field or credit of the previous message behind
+	// diverges from the fresh decode.
+	var backing [MaxCreditsPerMsg]Credit
+	reused := Control{Credits: backing[:0]}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := reused.Decode(maxSeed); err != nil {
+			t.Fatal(err)
+		}
 		c, err := DecodeControl(data)
+		if rerr := reused.Decode(data); rerr != err {
+			t.Fatalf("reused decode returned %v, fresh decode %v", rerr, err)
+		}
 		if err != nil {
 			return
+		}
+		if !sameControl(&reused, c) {
+			t.Fatalf("reused decode diverged from fresh decode:\n%+v\n%+v", reused, c)
 		}
 		// Whatever decodes must re-encode to something that decodes to
 		// the same value (canonicalization round trip).

@@ -180,12 +180,38 @@ func (c *Control) Encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeControl parses a control message.
+// DecodeControl parses a control message into a fresh Control whose
+// Credits, when the message carries any, is sized exactly to them.
 func DecodeControl(b []byte) (*Control, error) {
 	if len(b) < ControlHeaderSize {
 		return nil, ErrShortMessage
 	}
-	c := &Control{
+	c := &Control{}
+	if n := int(binary.BigEndian.Uint16(b[2:4])); n > 0 && n <= MaxCreditsPerMsg {
+		c.Credits = make([]Credit, 0, n)
+	}
+	if err := c.Decode(b); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Decode parses a control message into c, overwriting every field and
+// reusing Credits' backing array: a Control whose Credits has capacity
+// MaxCreditsPerMsg decodes any message without allocating. On error c
+// is left unchanged.
+func (c *Control) Decode(b []byte) error {
+	if len(b) < ControlHeaderSize {
+		return ErrShortMessage
+	}
+	n := int(binary.BigEndian.Uint16(b[2:4]))
+	if n > MaxCreditsPerMsg {
+		return ErrBadCount
+	}
+	if len(b) < ControlHeaderSize+n*creditSize {
+		return ErrShortMessage
+	}
+	*c = Control{
 		Type:      MsgType(b[0]),
 		Flags:     b[1],
 		Session:   binary.BigEndian.Uint32(b[4:8]),
@@ -194,13 +220,7 @@ func DecodeControl(b []byte) (*Control, error) {
 		RKey:      binary.BigEndian.Uint32(b[20:24]),
 		Length:    binary.BigEndian.Uint32(b[24:28]),
 		AssocData: binary.BigEndian.Uint64(b[28:36]),
-	}
-	n := int(binary.BigEndian.Uint16(b[2:4]))
-	if n > MaxCreditsPerMsg {
-		return nil, ErrBadCount
-	}
-	if len(b) < ControlHeaderSize+n*creditSize {
-		return nil, ErrShortMessage
+		Credits:   c.Credits[:0],
 	}
 	for i := 0; i < n; i++ {
 		off := ControlHeaderSize + i*creditSize
@@ -210,7 +230,7 @@ func DecodeControl(b []byte) (*Control, error) {
 			Len:  binary.BigEndian.Uint32(b[off+12 : off+16]),
 		})
 	}
-	return c, nil
+	return nil
 }
 
 // BlockHeaderSize is the user-payload block header length (Figure 7b:

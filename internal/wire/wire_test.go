@@ -3,6 +3,7 @@ package wire
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,88 @@ func TestControlTooManyCredits(t *testing.T) {
 	b[2], b[3] = 0xFF, 0xFF
 	if _, err := DecodeControl(b); err != ErrBadCount {
 		t.Fatalf("decode forged count: %v", err)
+	}
+}
+
+// sameControl compares two decoded messages field by field; a nil and
+// an empty credit list are the same message.
+func sameControl(a, b *Control) bool {
+	return a.Type == b.Type && a.Flags == b.Flags && a.Session == b.Session && a.Seq == b.Seq &&
+		a.Addr == b.Addr && a.RKey == b.RKey && a.Length == b.Length && a.AssocData == b.AssocData &&
+		slices.Equal(a.Credits, b.Credits)
+}
+
+// TestControlDecodeReuse: decoding a 16-credit grant and then a
+// 0-credit BLOCK_COMPLETE into one Control leaves nothing of the grant
+// behind, and the second decode reuses the first one's credit storage.
+func TestControlDecodeReuse(t *testing.T) {
+	grant := &Control{Type: MsgMRInfoResponse, Flags: FlagAccept, Session: 3, Seq: 4,
+		Addr: 5, RKey: 6, Length: 7, AssocData: 8}
+	for i := 0; i < 16; i++ {
+		grant.Credits = append(grant.Credits, Credit{Addr: uint64(i) << 12, RKey: uint32(i + 1), Len: 4096})
+	}
+	complete := &Control{Type: MsgBlockComplete, Session: 9, Seq: 10}
+	gb, _ := grant.Encode(nil)
+	cb, _ := complete.Encode(nil)
+
+	var c Control
+	if err := c.Decode(gb); err != nil {
+		t.Fatal(err)
+	}
+	if !sameControl(&c, grant) {
+		t.Fatalf("grant decoded as %+v", c)
+	}
+	backing := &c.Credits[:1][0]
+	if err := c.Decode(cb); err != nil {
+		t.Fatal(err)
+	}
+	if !sameControl(&c, complete) {
+		t.Fatalf("BLOCK_COMPLETE after a grant decoded as %+v, want %+v", c, complete)
+	}
+	if cap(c.Credits) == 0 || &c.Credits[:1][0] != backing {
+		t.Fatal("second decode dropped the credit storage")
+	}
+	// A failed decode leaves the message in hand untouched.
+	if err := c.Decode(gb[:ControlHeaderSize+1]); err != ErrShortMessage {
+		t.Fatalf("truncated grant: %v", err)
+	}
+	if !sameControl(&c, complete) {
+		t.Fatalf("failed decode changed the message to %+v", c)
+	}
+}
+
+// TestControlDecodeNoAlloc: a Control backed by a MaxCreditsPerMsg
+// array decodes a full grant without allocating.
+func TestControlDecodeNoAlloc(t *testing.T) {
+	in := &Control{Type: MsgMRInfoResponse}
+	for i := 0; i < MaxCreditsPerMsg; i++ {
+		in.Credits = append(in.Credits, Credit{Addr: uint64(i), RKey: uint32(i), Len: 1})
+	}
+	b, _ := in.Encode(nil)
+	var backing [MaxCreditsPerMsg]Credit
+	c := Control{Credits: backing[:0]}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Decode(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Decode allocates %v times per call", allocs)
+	}
+}
+
+// TestDecodeControlExactCredits: a fresh decode sizes Credits to the
+// message, so a grant costs one allocation for its credits, not a
+// growth series.
+func TestDecodeControlExactCredits(t *testing.T) {
+	in := &Control{Type: MsgMRInfoResponse, Credits: make([]Credit, 16)}
+	b, _ := in.Encode(nil)
+	out, err := DecodeControl(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Credits) != 16 || cap(out.Credits) != 16 {
+		t.Fatalf("credits len %d cap %d, want 16/16", len(out.Credits), cap(out.Credits))
 	}
 }
 
