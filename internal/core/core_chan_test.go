@@ -93,6 +93,13 @@ func closePipe(p *chanPipe) {
 // stored.
 func (p *chanPipe) transferBytes(t *testing.T, data []byte) []byte {
 	t.Helper()
+	return p.transferAdvertising(t, data, int64(len(data)))
+}
+
+// transferAdvertising is transferBytes with the dataset size the
+// SESSION_REQ advertises set apart from the data's true length.
+func (p *chanPipe) transferAdvertising(t *testing.T, data []byte, total int64) []byte {
+	t.Helper()
 	var mu sync.Mutex
 	var out bytes.Buffer
 	done := make(chan error, 2)
@@ -107,7 +114,7 @@ func (p *chanPipe) transferBytes(t *testing.T, data []byte) []byte {
 				done <- err
 				return
 			}
-			p.source.Transfer(ReaderSource{R: bytes.NewReader(data)}, int64(len(data)),
+			p.source.Transfer(ReaderSource{R: bytes.NewReader(data)}, total,
 				func(r TransferResult) { done <- r.Err })
 		})
 	})

@@ -63,7 +63,7 @@ func NewEndpoint(dev verbs.Device, loop verbs.Loop, channels, ioDepth int) (*End
 
 // ctrlMsgsPerSession is the control receive headroom reserved per
 // additional tenant beyond the first: a session can land SESSION_REQ,
-// MR_INFO_REQUEST, BLOCK_COMPLETE, and DATASET_COMPLETE in the window
+// MR_INFO_REQUEST, BLOCK_COMPLETE, and an ABORT or MODE_SWITCH_REQ in the window
 // between a burst arriving and the control loop reposting receives, so
 // an N-tenant connection admitting everyone at once needs the ring
 // sized to the admission cap, not the block pool.
@@ -80,7 +80,7 @@ const ctrlMsgsPerSession = 4
 // queued). Below 256 tenants the single-session floor already
 // covers the burst; above it an unsized ring takes receiver-not-ready
 // retries on the admission storm (every tenant's SESSION_REQ, and later
-// each one's MR_INFO_REQUEST / DATASET_COMPLETE, can arrive back to
+// each one's MR_INFO_REQUEST / BLOCK_COMPLETE, can arrive back to
 // back before the loop reposts). sessions <= 1 is the classic layout.
 func NewServiceEndpoint(dev verbs.Device, loops []verbs.Loop, channels, ioDepth, sessions int) (*Endpoint, error) {
 	if channels < 1 {

@@ -105,6 +105,9 @@ func (s *Source) advertise(sess *srcSession, b *block) {
 	wire.EncodeBlockHeader(b.mr.Buf, hdr)
 	b.setState(BlockAdvertised)
 	b.tPost = s.ep.Loop.Now()
+	if sess.advertised == nil {
+		sess.advertised = make(map[uint32]*block)
+	}
 	sess.advertised[b.seq] = b
 	s.advertCount++
 	s.stats.Adverts++
@@ -158,7 +161,7 @@ func (s *Source) handleReadDone(c *wire.Control) {
 // estimator (epoch mean folded into an EWMA) and lets the hybrid
 // controller reconsider the session's mode at each epoch boundary.
 func (s *Source) noteModeProgress(sess *srcSession) {
-	if s.cfg.TransferMode != ModeHybrid || sess.aborting || sess.completeTx {
+	if s.cfg.TransferMode != ModeHybrid || sess.aborting || sess.acked {
 		return
 	}
 	n, elapsed, closed := sess.rateEpoch.tick(s.ep.Loop.Now(), modeRateEpoch)
@@ -185,7 +188,7 @@ func (s *Source) noteModeProgress(sess *srcSession) {
 // ≤ pullLoadLo → push), and the per-mode goodput estimators override
 // it when the other mode's measured rate is decisively better.
 func (s *Source) maybeSwitchMode(sess *srcSession) {
-	if sess.switching || sess.aborting || sess.completeTx {
+	if sess.switching || sess.aborting || sess.acked {
 		return
 	}
 	if sess.blocks-sess.lastSwitchBlocks < modeSwitchMinBlocks {
@@ -501,7 +504,7 @@ func (k *Sink) handleModeSwitch(c *wire.Control) {
 		Session: sess.info.ID, V1: sess.arrived})
 	k.sendCtrl(&wire.Control{Type: wire.MsgModeSwitchAck, Flags: wire.FlagAccept,
 		Session: sess.info.ID, AssocData: uint64(sess.arrived)})
-	k.seedCredits(sess)
+	k.grantCredits(sess, k.seedSize(sess), grantInitial)
 }
 
 // completeSwitchToPull reclaims the session's granted blocks and flips

@@ -22,10 +22,23 @@ package core
 //     gate throughput exactly like a transport window, they are also
 //     what makes per-tenant rates proportional to weights.
 //
+//   - Every proactive grant — the initial seed, which rides on the
+//     SESSION_RESP itself, and the on-consume and on-free legs through
+//     the sweep — is capped at what the session's dataset can still
+//     use: the blocks the SESSION_REQ total fills, less those arrived
+//     or covered by an outstanding credit (headroom). A one-block file
+//     is granted one credit. A total of 0 means unknown and is
+//     uncapped; a total the arrivals prove understated lifts the cap
+//     for good; a Last block makes it exact. The on-demand answer to an
+//     MR_INFO_REQUEST is never capped, so liveness never rests on the
+//     hint.
+//
 //   - Reclaim-on-close returns every granted-but-unlanded block to the
 //     pool — but only once no straggling WRITE can still land in it.
-//     Normal completion is always safe (the source drains before
-//     DATASET_COMPLETE and drops unused credits). Aborts carry the
+//     Normal completion is always safe: the sink acknowledges only once
+//     every block up to the Last-flagged one has arrived, the source
+//     writes nothing past its last block, and it drops its unused
+//     credits when the acknowledgment lands. Aborts carry the
 //     source's successful-WRITE count in AssocData; if arrivals at the
 //     sink have not caught up to that count yet, the session parks as
 //     a zombie until the stragglers drain out of the data CQs, then
@@ -33,6 +46,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rftp/internal/trace"
@@ -91,9 +105,9 @@ func (k *Sink) handleSessionReq(c *wire.Control) {
 	k.admitSession(c.Seq, int64(c.AssocData), pull)
 }
 
-// admitSession opens one session and pushes its initial credit share
-// (pull sessions take no credits; the source's advertisements drive
-// them instead).
+// admitSession opens one session. A push session's initial credit
+// share rides on the SESSION_RESP; pull sessions take no credits (the
+// source's advertisements drive them instead).
 func (k *Sink) admitSession(tok uint32, total int64, pull bool) {
 	k.nextID++
 	sess := &sinkSession{
@@ -101,6 +115,7 @@ func (k *Sink) admitSession(tok uint32, total int64, pull bool) {
 		ready:  make(map[uint32]*block),
 		owned:  make(map[*block]struct{}),
 		weight: k.weightFor(k.nextID),
+		need:   k.blocksFor(total),
 	}
 	if pull {
 		sess.mode = ModePull
@@ -127,24 +142,46 @@ func (k *Sink) admitSession(tok uint32, total int64, pull bool) {
 	if k.OnSessionOpen != nil {
 		k.OnSessionOpen(sess.info)
 	}
-	k.sendCtrl(&wire.Control{Type: wire.MsgSessionResp, Flags: wire.FlagAccept,
-		Session: sess.info.ID, Seq: tok})
-	if pull {
-		return // no credit feed: the source advertises, we fetch
+	resp := wire.Control{Type: wire.MsgSessionResp, Flags: wire.FlagAccept,
+		Session: sess.info.ID, Seq: tok}
+	if !pull {
+		// The session is needy until its first grant; if the pool is busy
+		// with other tenants, the wait is real scheduler latency.
+		sess.needy = true
+		sess.needySince = k.ep.Loop.Now()
+		got := k.takeCredits(&resp, sess, k.seedSize(sess), grantTraceNames[grantInitial])
+		k.tel.grants[grantInitial].Add(int64(got))
 	}
-	// The session is needy until its first grant; if the pool is busy
-	// with other tenants, the wait is real scheduler latency.
-	sess.needy = true
-	sess.needySince = k.ep.Loop.Now()
-	k.seedCredits(sess)
+	k.sendCtrl(&resp)
 }
 
-// seedCredits pushes a session entering the push path its initial
-// credits, within its window share.
-func (k *Sink) seedCredits(sess *sinkSession) {
-	if k.cfg.CreditPolicy == CreditProactive {
-		k.grantCredits(sess, min(k.cfg.InitialCredits, k.sessionCap(sess)), grantInitial)
+// seedSize is a session's initial grant under the proactive policy:
+// InitialCredits, within its window share and its dataset's headroom.
+func (k *Sink) seedSize(sess *sinkSession) int {
+	if k.cfg.CreditPolicy != CreditProactive {
+		return 0
 	}
+	return min(k.cfg.InitialCredits, k.sessionCap(sess), k.headroom(sess))
+}
+
+// blocksFor is the number of blocks a dataset of total bytes fills;
+// 0 (unknown total) leaves the session uncapped.
+func (k *Sink) blocksFor(total int64) int64 {
+	if total <= 0 {
+		return 0
+	}
+	capacity := int64(k.blockSize - wire.BlockHeaderSize)
+	return (total + capacity - 1) / capacity
+}
+
+// headroom is how many more proactive credits sess can use: the
+// blocks its dataset fills, less those already arrived or covered by
+// an outstanding credit. An uncapped session has no limit.
+func (k *Sink) headroom(sess *sinkSession) int {
+	if sess.need == 0 {
+		return math.MaxInt
+	}
+	return int(sess.need - sess.arrived - int64(sess.granted))
 }
 
 // admitQueued drains the admission queue into freed session slots.
@@ -205,14 +242,14 @@ func (k *Sink) shareOf(win, weight, totW int) int {
 // sessions, granting up to budget credits from the coalescer's pending
 // batch, one MR_INFO_RESPONSE per session granted. Each eligible
 // session banks weight×quantum of deficit and receives up to that
-// deficit, capped at its window share and the remaining budget; a
-// session at its cap forfeits its deficit (classic DRR — an ineligible
-// flow must not bank credit while idle). The sweep cursor rotates past
-// the last session granted so a fresh batch does not always feed the
-// same tenant first. Returns the credits granted; zero means the pool
-// ran dry or no session is eligible, and the caller drops the rest of
-// the batch exactly as the unbatched protocol dropped grants that
-// found no free block.
+// deficit, capped at its window share, its dataset's headroom and the
+// remaining budget; a session with no room forfeits its deficit
+// (classic DRR — an ineligible flow must not bank credit while idle).
+// The sweep cursor rotates past the last session granted so a fresh
+// batch does not always feed the same tenant first. Returns the
+// credits granted; zero means the pool ran dry or no session is
+// eligible, and the caller drops the rest of the batch exactly as the
+// unbatched protocol dropped grants that found no free block.
 func (k *Sink) schedSweep(budget int) int {
 	n := len(k.schedOrder)
 	if n == 0 || k.pool == nil || budget <= 0 {
@@ -234,19 +271,13 @@ func (k *Sink) schedSweep(budget int) int {
 		if sess.finished || sess.mode == ModePull {
 			continue
 		}
-		if sess.granted >= k.shareOf(win, sess.weight, totW) {
+		room := min(k.shareOf(win, sess.weight, totW)-sess.granted, k.headroom(sess))
+		if room <= 0 {
 			sess.deficit = 0
 			continue
 		}
 		sess.deficit += sess.weight * quantum
-		want := sess.deficit
-		if m := k.shareOf(win, sess.weight, totW) - sess.granted; want > m {
-			want = m
-		}
-		if m := budget - granted; want > m {
-			want = m
-		}
-		got := k.sendGrantTo(sess, want, "grant_flush")
+		got := k.sendGrantTo(sess, min(sess.deficit, room, budget-granted), "grant_flush")
 		if got == 0 {
 			break // pool dry
 		}

@@ -67,6 +67,12 @@ type Sink struct {
 	// grantScratch holds the credits of the grant being built; sending
 	// encodes them before it returns, so the next grant reuses it.
 	grantScratch []wire.Credit
+	// acks holds, in posting order, the sessions whose
+	// DATASET_COMPLETE_ACK is on the wire; ackSentFn, bound once, pops
+	// the head on each ack's send completion (an RC queue pair completes
+	// in order), so finishing a session builds no closure.
+	acks      ringq.Ring[uint32]
+	ackSentFn func()
 
 	// Session manager (sessmgr.go): admission control and the
 	// per-tenant credit scheduler. schedOrder is the DRR sweep order;
@@ -147,18 +153,20 @@ type sinkSession struct {
 	lastSeq     uint32
 	received    int64
 	blocks      int64
-	completeRx  bool
 	finished    bool
 
 	// Session-manager state (sessmgr.go): the DRR weight and running
 	// deficit, credits outstanding to this session, arrivals landed,
-	// and the control-owned set of granted-but-unarrived blocks — the
-	// session's reclaim ledger. needy/needySince bracket intervals the
-	// tenant sat with zero credits waiting on the scheduler.
+	// the blocks the dataset fills (the proactive-grant cap; 0 when
+	// uncapped), and the control-owned set of granted-but-unarrived
+	// blocks — the session's reclaim ledger. needy/needySince bracket
+	// intervals the tenant sat with zero credits waiting on the
+	// scheduler.
 	weight     int
 	deficit    int
 	granted    int
 	arrived    int64
+	need       int64
 	owned      map[*block]struct{}
 	needy      bool
 	needySince time.Duration
@@ -197,6 +205,7 @@ func NewSink(ep *Endpoint, cfg Config) (*Sink, error) {
 		inv:       invariant.NewConn("sink"),
 	}
 	k.flushFn = k.flushTimerFired
+	k.ackSentFn = k.ackSent
 	k.fetchSweep.step = k.tryFetch
 	k.stores = ioTasks[*sinkSession]{loop: ep.Loop, done: func(sess *sinkSession, b *block, _ int, _ bool, err error) {
 		k.storeDone(sess, b, err)
@@ -253,7 +262,7 @@ func (k *Sink) Close() {
 	k.closed = true
 	// Every live session ends here, and OnSessionDone fires once for
 	// each. A session marked finished has its whole stream stored and
-	// its DATASET_COMPLETE ack queued — only the ack's send completion
+	// its DATASET_COMPLETE_ACK queued — only the ack's send completion
 	// (which fires finishSession) is outstanding, and the teardown may
 	// have outrun it: it retires as the completion it is. Any other
 	// session can no longer complete and fails with ErrClosed; the
@@ -319,8 +328,6 @@ func (k *Sink) handleCtrl(c *wire.Control) {
 		k.handleMRRequest(c)
 	case wire.MsgBlockComplete:
 		k.handleBlockComplete(c)
-	case wire.MsgDatasetComplete:
-		k.handleDatasetComplete(c)
 	case wire.MsgAbort:
 		k.handleAbort(c)
 	case wire.MsgBlockAdvert:
@@ -387,21 +394,33 @@ var debugStallHook func(*Sink)
 
 // grantCredits advertises up to n free blocks to one session in one
 // message (free → waiting in the sink FSM), bypassing the scheduler's
-// sweep — the immediate legs (initial window, explicit on-demand
-// requests) use it directly. reason records which policy leg issued
-// the grant for telemetry and tracing. Returns the credits sent.
+// sweep — the immediate legs (explicit on-demand requests, the seed of
+// a session switching to push) use it directly. reason records which
+// policy leg issued the grant for telemetry and tracing. Returns the
+// credits sent.
 func (k *Sink) grantCredits(sess *sinkSession, n int, reason grantReason) int {
 	got := k.sendGrantTo(sess, n, grantTraceNames[reason])
 	k.tel.grants[reason].Add(int64(got))
 	return got
 }
 
-// sendGrantTo acquires up to n free blocks for sess and sends them as
-// a single session-targeted MR_INFO_RESPONSE. Each block is stamped
-// with its owner at grant time: the stamp is verified when a WRITE
-// lands (a cross-session landing is a protocol violation) and keys the
-// reclaim ledger at teardown.
+// sendGrantTo sends up to n credits to sess as a single
+// session-targeted MR_INFO_RESPONSE.
 func (k *Sink) sendGrantTo(sess *sinkSession, n int, traceName string) int {
+	c := wire.Control{Type: wire.MsgMRInfoResponse, Session: sess.info.ID}
+	got := k.takeCredits(&c, sess, n, traceName)
+	if got > 0 {
+		k.sendCtrl(&c)
+	}
+	return got
+}
+
+// takeCredits acquires up to n free blocks for sess and lists them as
+// c's credits; the caller sends c. Each block is stamped with its owner
+// at grant time: the stamp is verified when a WRITE lands (a
+// cross-session landing is a protocol violation) and keys the reclaim
+// ledger at teardown. Returns the credits taken.
+func (k *Sink) takeCredits(c *wire.Control, sess *sinkSession, n int, traceName string) int {
 	if n <= 0 || k.pool == nil || sess.finished {
 		return 0
 	}
@@ -444,7 +463,7 @@ func (k *Sink) sendGrantTo(sess *sinkSession, n int, traceName string) int {
 	}
 	k.Trace.Emit(trace.Event{Cat: trace.CatCredit, Name: traceName,
 		Session: sess.info.ID, V1: int64(len(credits)), V2: int64(k.granted)})
-	k.sendCtrl(&wire.Control{Type: wire.MsgMRInfoResponse, Session: sess.info.ID, Credits: credits})
+	c.Credits = credits
 	return len(credits)
 }
 
@@ -928,6 +947,12 @@ func (k *Sink) accept(sess *sinkSession, b *block) (now time.Duration, ok bool) 
 	if b.last {
 		sess.haveLast = true
 		sess.lastSeq = b.seq
+		// The block count is known exactly from here on.
+		sess.need = int64(b.seq) + 1
+	} else if sess.need > 0 && int64(b.seq)+1 >= sess.need {
+		// Block need-1 should have been the last: the advertised total
+		// was understated, and the session loses its cap for good.
+		sess.need = 0
 	}
 	return now, true
 }
@@ -1094,19 +1119,11 @@ func (k *Sink) storeDone(sess *sinkSession, b *block, err error) {
 	k.noteStall()
 }
 
-func (k *Sink) handleDatasetComplete(c *wire.Control) {
-	sess := k.sessions[c.Session]
-	if sess == nil {
-		return
-	}
-	sess.completeRx = true
-	k.maybeFinish(sess)
-}
-
-// maybeFinish acknowledges a session once the complete in-order stream
-// has been stored.
+// maybeFinish acknowledges a session once the Last-flagged block and
+// every block before it are stored. The source needs no message of
+// its own to end a session: the block header carries Last.
 func (k *Sink) maybeFinish(sess *sinkSession) {
-	if sess.finished || !sess.completeRx || !sess.haveLast {
+	if sess.finished || !sess.haveLast {
 		return
 	}
 	// nextDeliver is the contiguous low-water mark on both paths: past
@@ -1121,16 +1138,24 @@ func (k *Sink) maybeFinish(sess *sinkSession) {
 	// arrives: a server that closes the connection on session-done must
 	// not strand the ack.
 	sess.finished = true // no double-finish via other paths
-	k.sendCtrlThen(&wire.Control{Type: wire.MsgDatasetCompleteAck, Session: sess.info.ID}, func() {
-		if k.closed {
-			return // Close already retired it as complete
-		}
+	k.acks.Push(sess.info.ID)
+	k.sendCtrlThen(&wire.Control{Type: wire.MsgDatasetCompleteAck, Session: sess.info.ID}, k.ackSentFn)
+}
+
+// ackSent retires the session whose DATASET_COMPLETE_ACK just
+// completed its send. Every block up to Last arrived before the ack
+// went out, and the source writes nothing past its last block and
+// drops its unused credits when the ack lands, so no WRITE can still
+// hit the session's leftover granted blocks: they are reclaimed now.
+func (k *Sink) ackSent() {
+	id, _ := k.acks.Pop()
+	if k.closed {
+		return // Close already retired it as complete
+	}
+	if sess := k.sessions[id]; sess != nil {
 		sess.finished = false
-		// Normal completion: the source drained every WRITE before
-		// DATASET_COMPLETE and dropped its unused credits, so the
-		// session's leftover granted blocks are safe to reclaim now.
 		k.finishSession(sess, nil, true)
-	})
+	}
 }
 
 // finishSession retires a session. reclaim says the source is known

@@ -125,12 +125,16 @@ type srcSession struct {
 	eof        bool
 	inflight   int // blocks sending/waiting
 	queued     int // blocks in s.loaded
-	completeTx bool
-	onDone     func(TransferResult)
+	// acked marks a session the sink acknowledged (every block up to
+	// Last stored). It completes once its own last loads and WRITE
+	// completions come home too: the ack can overtake a WRITE's
+	// completion, and the result must count every block.
+	acked  bool
+	onDone func(TransferResult)
 
 	// Pull-mode state (pullmode.go): the session's current data path,
-	// blocks advertised and awaiting READ_DONE (by seq), and the
-	// mode-change handshake in progress.
+	// blocks advertised and awaiting READ_DONE (by seq; made at the
+	// first advertisement), and the mode-change handshake in progress.
 	mode          TransferMode
 	advertised    map[uint32]*block
 	switching     bool
@@ -228,15 +232,16 @@ func (s *Source) Start(onReady func(error)) {
 }
 
 // Transfer queues one dataset. total is advisory (sent to the sink in
-// SESSION_REQ); the BlockSource's EOF decides the true length. onDone
-// fires on the loop when the sink acknowledged the complete dataset.
+// SESSION_REQ, where it caps the sink's proactive grants; 0 means
+// unknown); the BlockSource's EOF decides the true length. onDone
+// fires on the loop once the sink acknowledged the complete dataset
+// and the session's own WRITEs have completed.
 func (s *Source) Transfer(src BlockSource, total int64, onDone func(TransferResult)) {
 	if s.failed != nil || s.closed {
 		onDone(TransferResult{Err: firstErr(s.failed, ErrClosed)})
 		return
 	}
-	sess := &srcSession{src: src, total: total, onDone: onDone,
-		mode: s.initialMode(), advertised: make(map[uint32]*block)}
+	sess := &srcSession{src: src, total: total, onDone: onDone, mode: s.initialMode()}
 	sess.srcAt, _ = src.(BlockSourceAt)
 	s.openQ = append(s.openQ, sess)
 	s.tryOpenSession()
@@ -370,44 +375,29 @@ func (s *Source) handleCtrl(c *wire.Control) {
 		if s.stats.Start == 0 {
 			s.stats.Start = s.ep.Loop.Now()
 		}
+		if len(c.Credits) > 0 {
+			// A push session's initial credits ride on the response.
+			s.stashCredits(c)
+		}
 		s.pump()
 		s.tryOpenSession()
 
 	case wire.MsgMRInfoResponse:
-		invariant.CreditGrant(s.inv, int64(len(c.Credits)))
-		s.stats.CreditsGranted += int64(len(c.Credits))
-		s.stats.GrantMsgs++
-		sess := s.sessions[c.Session]
-		if sess == nil || sess.completeTx || sess.aborting || sess.mode == ModePull {
-			// Credits for a session that finished, is draining, or has
-			// switched to the pull path: the grant crossed the teardown
-			// (or the mode switch) on the wire. Drop them — the sink
-			// reclaims the backing blocks when it processes the
-			// session's completion, abort, or switch.
-			invariant.CreditConsume(s.inv, int64(len(c.Credits)))
-			s.pump()
-			return
-		}
-		sess.stalled = false
-		for _, cr := range c.Credits {
-			sess.credits.Push(cr)
-		}
-		s.creditCount += len(c.Credits)
-		s.tel.creditsRecv.Add(int64(len(c.Credits)))
-		s.tel.creditStash.Set(int64(s.creditCount))
-		s.Trace.Emit(trace.Event{Cat: trace.CatCredit, Name: "credits_recv",
-			Session: c.Session, V1: int64(len(c.Credits)), V2: int64(s.creditCount)})
+		s.stashCredits(c)
 		s.pump()
 
 	case wire.MsgDatasetCompleteAck:
 		sess := s.sessions[c.Session]
-		if sess == nil {
+		if sess == nil || sess.acked {
 			return
 		}
 		s.Trace.Emit(trace.Event{Cat: trace.CatSession, Name: "complete_ack",
 			Session: sess.id, V1: sess.sent, V2: sess.blocks})
-		s.removeSession(sess)
-		sess.onDone(TransferResult{Session: sess.id, Bytes: sess.sent, Blocks: sess.blocks})
+		sess.acked = true
+		// No grant for the session follows its ack on the ordered
+		// control QP, and the sink reclaims the blocks behind any left.
+		s.dropCredits(sess)
+		s.maybeComplete(sess)
 
 	case wire.MsgAbort:
 		if c.Session == 0 {
@@ -438,6 +428,33 @@ func (s *Source) handleCtrl(c *wire.Control) {
 	}
 }
 
+// stashCredits files a grant's credits — from an MR_INFO_RESPONSE, or
+// the SESSION_RESP that opened the session — in its session's stash.
+func (s *Source) stashCredits(c *wire.Control) {
+	invariant.CreditGrant(s.inv, int64(len(c.Credits)))
+	s.stats.CreditsGranted += int64(len(c.Credits))
+	s.stats.GrantMsgs++
+	sess := s.sessions[c.Session]
+	if sess == nil || sess.acked || sess.aborting || sess.mode == ModePull {
+		// Credits for a session that finished, is draining, or has
+		// switched to the pull path: the grant crossed the teardown
+		// (or the mode switch) on the wire. Drop them — the sink
+		// reclaims the backing blocks when it processes the
+		// session's completion, abort, or switch.
+		invariant.CreditConsume(s.inv, int64(len(c.Credits)))
+		return
+	}
+	sess.stalled = false
+	for _, cr := range c.Credits {
+		sess.credits.Push(cr)
+	}
+	s.creditCount += len(c.Credits)
+	s.tel.creditsRecv.Add(int64(len(c.Credits)))
+	s.tel.creditStash.Set(int64(s.creditCount))
+	s.Trace.Emit(trace.Event{Cat: trace.CatCredit, Name: "credits_recv",
+		Session: c.Session, V1: int64(len(c.Credits)), V2: int64(s.creditCount)})
+}
+
 func (s *Source) finishNego(err error) {
 	if cb := s.onReady; cb != nil {
 		s.onReady = nil
@@ -457,8 +474,7 @@ func (s *Source) removeSession(sess *srcSession) {
 }
 
 // pump advances the source state machine: issue loads, pair loaded
-// blocks with credits, post WRITEs, request credits on starvation, and
-// send dataset-complete when drained.
+// blocks with credits, post WRITEs, and request credits on starvation.
 func (s *Source) pump() {
 	if s.failed != nil || s.closed {
 		return
@@ -505,7 +521,6 @@ func (s *Source) pumpOnce() {
 	// Credit conservation: every granted credit is either consumed by a
 	// posted WRITE, dropped at session teardown, or still in a stash.
 	invariant.CreditOutstanding(s.inv, int64(s.creditCount))
-	s.checkSessionCompletion()
 	s.noteStall()
 }
 
@@ -609,12 +624,13 @@ func (s *Source) loadDone(sess *srcSession, b *block, n int, eof bool, err error
 	if s.tel.reg != nil {
 		s.tel.loadsInflight.Set(s.totalLoads())
 	}
-	if s.sessions[sess.id] != sess || sess.aborting {
-		// The session failed, finished, or is draining toward an abort
-		// while this load was in flight; recycle the block and keep
-		// other sessions moving.
+	if s.sessions[sess.id] != sess || sess.aborting || sess.acked {
+		// The session failed, is draining toward an abort, or is already
+		// delivered (a load over-issued past its end) while this load was
+		// in flight; recycle the block and keep other sessions moving.
 		s.pool.recycle(b)
 		s.maybeFinishAbort(sess)
+		s.maybeComplete(sess)
 		s.pump()
 		return
 	}
@@ -840,6 +856,7 @@ func (s *Source) retire(sess *srcSession, b *block) {
 		if sess.switching {
 			s.maybeSendSwitchReq(sess)
 		}
+		s.maybeComplete(sess)
 	}
 	s.pump()
 }
@@ -952,27 +969,21 @@ func (s *Source) writeDone(b *block, status verbs.Status) {
 	}
 }
 
-// checkSessionCompletion sends DATASET_COMPLETE for drained sessions.
-func (s *Source) checkSessionCompletion() {
-	for _, sess := range s.rrSessions {
-		if sess.completeTx || sess.aborting || !sess.eof || sess.loads > 0 || sess.inflight > 0 ||
-			sess.queued > 0 || len(sess.advertised) > 0 || sess.switching {
-			continue
-		}
-		sess.completeTx = true
-		s.dropCredits(sess)
-		s.Trace.Emit(trace.Event{Cat: trace.CatSession, Name: "complete_tx",
-			Session: sess.id, V1: sess.sent, V2: sess.blocks})
-		s.sendCtrl(&wire.Control{
-			Type: wire.MsgDatasetComplete, Session: sess.id,
-			Seq: sess.nextSeq, AssocData: uint64(sess.sent),
-		})
+// maybeComplete ends a session the sink acknowledged once its own last
+// loads and WRITE completions have come home.
+func (s *Source) maybeComplete(sess *srcSession) {
+	if !sess.acked || sess.loads > 0 || sess.inflight > 0 || sess.queued > 0 ||
+		len(sess.advertised) > 0 || s.sessions[sess.id] != sess {
+		return
 	}
+	s.removeSession(sess)
+	sess.onDone(TransferResult{Session: sess.id, Bytes: sess.sent, Blocks: sess.blocks})
 }
 
 // dropCredits discards a session's unused credit stash (completion or
-// teardown): the sink reclaims the backing blocks when it processes
-// the session's DATASET_COMPLETE or ABORT, so our copies are dead.
+// teardown): the sink reclaims the backing blocks once its
+// DATASET_COMPLETE_ACK is sent or it processes the session's ABORT, so
+// our copies are dead.
 func (s *Source) dropCredits(sess *srcSession) {
 	n := sess.credits.Len()
 	if n == 0 {
@@ -991,7 +1002,9 @@ func (s *Source) dropCredits(sess *srcSession) {
 // the abort to the sink. Announcing earlier would let the sink recycle
 // granted blocks that a straggling WRITE could still land in.
 func (s *Source) abortSession(sess *srcSession, err error) {
-	if sess.aborting || s.sessions[sess.id] != sess {
+	// A session the sink acknowledged is delivered: it completes as soon
+	// as its own completions come home, and there is nothing to abort.
+	if sess.aborting || sess.acked || s.sessions[sess.id] != sess {
 		return
 	}
 	sess.aborting = true

@@ -32,9 +32,11 @@ const (
 	MsgMRInfoResponse // credits: one or more (Addr, RKey) pairs
 	MsgBlockComplete  // a block finished; Addr/RKey name the consumed region
 
-	// Teardown (phase 3).
-	MsgDatasetComplete    // whole dataset delivered
-	MsgDatasetCompleteAck // sink confirms
+	// Teardown (phase 3). MsgDatasetComplete is no longer sent: the
+	// sink acks once the block flagged Last and every block before it
+	// are stored. Its number stays reserved.
+	MsgDatasetComplete    // reserved: was the source's "whole dataset delivered"
+	MsgDatasetCompleteAck // sink confirms the whole dataset stored
 	MsgAbort              // fatal error; Session is torn down
 
 	// Pull mode (phase 2, RDMA-READ data path). The advertisement is the
@@ -124,7 +126,7 @@ const ControlHeaderSize = 40
 const MaxCreditsPerMsg = 64
 
 // Control is a control message (Figure 7a): a fixed header plus, for
-// MR_INFO_RESPONSE, a list of credits.
+// MR_INFO_RESPONSE and SESSION_RESP, a list of credits.
 type Control struct {
 	Type    MsgType
 	Flags   uint8
@@ -140,7 +142,9 @@ type Control struct {
 	// AssocData is the "Type Associated Data" field used during
 	// negotiation (proposed block size, channel count, dataset size).
 	AssocData uint64
-	// Credits ride only on MsgMRInfoResponse.
+	// Credits ride on MsgMRInfoResponse and on an accepting
+	// MsgSessionResp (a push session's initial grant); the codec
+	// carries them on any type.
 	Credits []Credit
 }
 
